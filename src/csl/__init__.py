@@ -22,8 +22,7 @@ from .experiments import (ExperimentConfig, RunResult, config_from_mapping,
                           results_hash, run_experiment)
 from .inference import (ConfidenceIntervals, confidence_intervals, normal_quantile,
                         sandwich, sigma_cross, sigma_global, sigma_local)
-from .losses import (DataShard, Link, LossModel, loss_gradient, loss_hessian,
-                     loss_value, per_sample_gradients, shard_from_csv, shard_to_csv)
+from .losses import DataShard, Link, LossModel, ShardLoss, shard_from_csv, shard_to_csv
 from .solvers import minimize_shard_loss
 from .sparse import (L1Settings, SparseEstimate, averaging_lasso, csl_lasso,
                      estimate_noise_sd, fista_l1, iterative_csl_lasso,

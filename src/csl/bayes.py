@@ -19,7 +19,6 @@ import numpy as np
 from .cluster import CommLedger, Cluster
 from .errors import CslError, DataError
 from .estimators import ONE_STEP, ilea, subsample_estimator
-from .losses import loss_hessian
 from .solvers import SolverSettings
 from .surrogate import SurrogateLoss, build_surrogate, surrogate_value
 
@@ -213,8 +212,7 @@ def run_csl_bayes(cluster: Cluster, prior: Prior,
     n_total = cluster.n_total
     scale = mcmc.proposal_scale
     if scale is None:
-        hbar = float(np.mean(np.diag(
-            loss_hessian(cluster.model, anchor, surr.shard))))
+        hbar = float(np.mean(np.diag(surr.loss.eval(anchor, 2)[2])))
         if hbar <= 0.0:
             raise DataError("cannot autoscale proposals: nonpositive curvature")
         scale = 2.4 / math.sqrt(cluster.d * n_total * hbar)

@@ -10,6 +10,7 @@ configuration, 3 completed with flagged trials.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -54,25 +55,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# Config fields whose mapping key is shorter than the field name.
+_MAPPING_KEYS = {"n_values": "n", "k_values": "k"}
+
+
 def _config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
-    mapping = {
-        "experiment": config.experiment,
-        "d": str(config.d),
-        "n": ",".join(str(v) for v in config.n_values),
-        "k": ",".join(str(v) for v in config.k_values),
-        "trials": str(config.trials),
-        "seed": str(config.seed),
-        "level": str(config.level),
-        "rounds": str(config.rounds),
-        "mcmc_iters": str(config.mcmc_iters),
-        "bins": str(config.bins),
-        "s": str(config.s),
-        "sigma": str(config.sigma),
-    }
-    if config.n_total is not None:
-        mapping["n_total"] = str(config.n_total)
-    if config.out is not None:
-        mapping["out"] = config.out
+    """Every set field of the config as the string mapping config_from_mapping
+    reads back."""
+    mapping = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        mapping[_MAPPING_KEYS.get(f.name, f.name)] = str(value)
     return mapping
 
 

@@ -5,8 +5,8 @@ The ledger counts d-dimensional vector payloads crossing machine boundaries:
 
 * gradient round: broadcast theta to workers 2..k and collect their replies,
   2*(k-1) vectors;
-* local-minimizer round: requests carry only a scalar tolerance, so just the
-  k-1 reply vectors count;
+* local-minimizer round: requests carry only the solver settings, a few
+  scalars, so just the k-1 reply vectors count;
 * at k=1 nothing crosses a boundary and the ledger does not move.
 
 Raw-sample movement (pooling all data on one machine for baselines) is metered
@@ -15,7 +15,8 @@ separately in ``samples_moved`` rather than being converted into vectors.
 Transport is "in_process" (default) or "tcp", in which case workers 2..k are
 :class:`~csl.transport.WorkerServer` processes reached through the frame
 protocol. Shard contents are retained locally in both modes so that
-surrogate construction can evaluate local losses at the coordinator.
+surrogate construction can evaluate local losses at the coordinator; each
+retained shard is bound to one :class:`~csl.losses.ShardLoss` evaluator.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .losses import DataShard, LossModel, loss_gradient, loss_value
-from .solvers import SolverSettings, minimize_shard_loss
+from .losses import DataShard, LossModel, ShardLoss
+from .solvers import SolverSettings, newton_minimize
 from .transport import WorkerClient, WorkerServer
 
 __all__ = ["CommLedger", "Cluster", "split_rows"]
@@ -79,9 +80,9 @@ class Cluster:
             if shard.n_features != d:
                 raise DataError(f"shard {j + 1} has {shard.n_features} features, "
                                 f"expected {d}")
-            model.validate_response(shard.y)
         self.model = model
         self.shards = tuple(shards)
+        self.losses = tuple(ShardLoss(model, shard) for shard in self.shards)
         self.ledger = CommLedger()
         self._clients: list[WorkerClient] = []
         self._owned_servers: list[WorkerServer] = []
@@ -95,19 +96,24 @@ class Cluster:
         self.transport = transport
 
     def _connect_workers(self, addresses) -> None:
+        """Start or reach workers 2..k and load their shards; on any failure,
+        shut down every client and owned server before re-raising."""
         k = len(self.shards)
-        if addresses is None:
-            # Self-hosted loopback workers, one daemon thread each.
-            for _ in range(k - 1):
-                self._owned_servers.append(WorkerServer(self.model).start())
-            addresses = [srv.address for srv in self._owned_servers]
-        if len(addresses) != k - 1:
-            raise ConfigError(f"need {k - 1} worker addresses for k={k}, "
-                              f"got {len(addresses)}")
-        for j, addr in enumerate(addresses):
-            client = WorkerClient(addr, worker_index=j + 2)
-            client.load_shard(self.shards[j + 1])
-            self._clients.append(client)
+        try:
+            if addresses is None:
+                # Self-hosted loopback workers, one daemon thread each.
+                for _ in range(k - 1):
+                    self._owned_servers.append(WorkerServer(self.model).start())
+                addresses = [srv.address for srv in self._owned_servers]
+            if len(addresses) != k - 1:
+                raise ConfigError(f"need {k - 1} worker addresses for k={k}, "
+                                  f"got {len(addresses)}")
+            for j, addr in enumerate(addresses):
+                self._clients.append(WorkerClient(addr, worker_index=j + 2))
+                self._clients[-1].load_shard(self.shards[j + 1])
+        except BaseException:
+            self.close()
+            raise
 
     @classmethod
     def from_pooled(cls, model: LossModel, x: np.ndarray, y: np.ndarray, k: int,
@@ -138,12 +144,11 @@ class Cluster:
             raise DataError("theta contains non-finite entries")
         for client in self._clients:
             client.send_gradient_request(theta)
-        grads = [loss_gradient(self.model, theta, self.shards[0])]
+        grads = [self.losses[0].gradient(theta)]
         if self._clients:
             grads.extend(client.recv_gradient() for client in self._clients)
         else:
-            grads.extend(loss_gradient(self.model, theta, shard)
-                         for shard in self.shards[1:])
+            grads.extend(loss.gradient(theta) for loss in self.losses[1:])
         return grads
 
     def _meter(self, vectors: int) -> None:
@@ -174,24 +179,25 @@ class Cluster:
                               ) -> list[np.ndarray]:
         """Each worker minimizes its own shard loss from zero; k-1 reply vectors.
 
-        Over tcp only the gradient tolerance travels in the request, so remote
-        fits run with default budgets at that tolerance.
+        Over tcp the request carries all four solver settings, so remote fits
+        run exactly as in-process ones do.
         """
         for client in self._clients:
-            client.send_local_min_request(settings.grad_tol)
-        fits = [minimize_shard_loss(self.model, self.shards[0], settings)]
+            client.send_local_min_request(settings)
+        start = np.zeros(self.d)
+        fits = [newton_minimize(self.losses[0].eval, start, settings)]
         if self._clients:
             fits.extend(client.recv_local_min() for client in self._clients)
         else:
-            fits.extend(minimize_shard_loss(self.model, shard, settings)
-                        for shard in self.shards[1:])
+            fits.extend(newton_minimize(loss.eval, start, settings)
+                        for loss in self.losses[1:])
         self._meter(self.k - 1)
         return fits
 
     def local_loss_values(self, theta: np.ndarray) -> list[float]:
         """Per-shard loss values from the retained local copies (no ledger);
         a diagnostic, not a protocol message."""
-        return [loss_value(self.model, theta, shard) for shard in self.shards]
+        return [loss.eval(theta, 0)[0] for loss in self.losses]
 
     def pooled_shard(self, meter: bool = True) -> DataShard:
         """All samples on one machine, in worker order. Moves (k-1)*n raw

@@ -10,7 +10,7 @@ import numpy as np
 
 from .cluster import CommLedger, Cluster
 from .errors import CslError, DataError, SingularHessianError
-from .solvers import SolverSettings, minimize_shard_loss, newton_minimize, shard_objective
+from .solvers import SolverSettings, minimize_shard_loss, newton_minimize
 from .surrogate import (QuadraticSurrogate, SurrogateLoss, build_quadratic_surrogate,
                         build_surrogate, surrogate_eval)
 
@@ -35,8 +35,8 @@ def minimize_surrogate(s: SurrogateLoss, theta0: np.ndarray | None = None,
     if theta0 is None:
         theta0 = s.anchor
 
-    def objective(theta):
-        return surrogate_eval(s, theta)
+    def objective(theta, order):
+        return surrogate_eval(s, theta, order)
 
     return newton_minimize(objective, theta0, settings)
 
@@ -145,7 +145,7 @@ def averaging_estimator(cluster: Cluster,
 def subsample_estimator(cluster: Cluster,
                         settings: SolverSettings = SolverSettings()) -> np.ndarray:
     """Fit on the coordinator's own shard only; costs no communication."""
-    return minimize_shard_loss(cluster.model, cluster.shards[0], settings)
+    return newton_minimize(cluster.losses[0].eval, np.zeros(cluster.d), settings)
 
 
 def baseline_suite(cluster: Cluster,

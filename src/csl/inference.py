@@ -13,7 +13,7 @@ what data they may touch:
 
 from __future__ import annotations
 
-import math
+import statistics
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import DataError, SingularHessianError
-from .losses import loss_hessian, per_sample_gradients
+from .losses import ShardLoss
 from .surrogate import SurrogateLoss
 
 __all__ = [
@@ -30,41 +30,14 @@ __all__ = [
     "ConfidenceIntervals", "confidence_intervals",
 ]
 
-# Rational-approximation coefficients for the standard normal quantile
-# (relative error below 1.2e-9 before refinement; one Halley step against
-# erfc pushes the result to near machine precision).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF on (0, 1), accurate to ~1e-15."""
+    """Inverse standard normal CDF on (0, 1)."""
     if not (0.0 < p < 1.0):
         raise DataError(f"quantile level must be in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # Halley refinement against the exact CDF via erfc.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def sandwich(curvature: np.ndarray, middle: np.ndarray) -> np.ndarray:
@@ -82,11 +55,10 @@ def sigma_global(cluster: Cluster, theta: np.ndarray) -> np.ndarray:
     """Pooled-data sandwich at theta. Moves all raw samples to the
     coordinator (metered in samples_moved); intended as the reference the
     communication-free estimates are judged against."""
-    pooled = cluster.pooled_shard(meter=True)
-    theta = np.asarray(theta, dtype=np.float64)
-    curvature = loss_hessian(cluster.model, theta, pooled)
-    scores = per_sample_gradients(cluster.model, theta, pooled)
-    middle = scores.T @ scores / pooled.n_samples
+    pooled = ShardLoss(cluster.model, cluster.pooled_shard(meter=True))
+    curvature = pooled.eval(theta, 2)[2]
+    scores = pooled.per_sample(theta)
+    middle = scores.T @ scores / pooled.shard.n_samples
     return sandwich(curvature, middle)
 
 
@@ -96,10 +68,9 @@ def sigma_local(s: SurrogateLoss, theta: np.ndarray) -> np.ndarray:
     Scores are per-sample surrogate gradients: each sample's loss gradient
     minus the stored correction vector. No ledger activity.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    curvature = loss_hessian(s.model, theta, s.shard)
-    scores = per_sample_gradients(s.model, theta, s.shard) - s.correction
-    middle = scores.T @ scores / s.shard.n_samples
+    curvature = s.loss.eval(theta, 2)[2]
+    scores = s.loss.per_sample(theta) - s.correction
+    middle = scores.T @ scores / s.loss.shard.n_samples
     return sandwich(curvature, middle)
 
 
@@ -121,7 +92,7 @@ def sigma_cross(cluster: Cluster, theta: np.ndarray, host: int = 1) -> np.ndarra
     for g in local_grads:
         middle += np.outer(g, g)
     middle *= n / k
-    curvature = loss_hessian(cluster.model, theta, cluster.shards[host - 1])
+    curvature = cluster.losses[host - 1].eval(theta, 2)[2]
     return sandwich(curvature, middle)
 
 

@@ -2,8 +2,10 @@
 
 Every loss is an empirical mean over one shard: logistic log-loss, unhalved
 squared error, and canonical generalized linear models written as
-``mean(-y*u + phi(u))`` with ``u = x @ theta``. All evaluations are plain
-numpy; nothing here talks to the cluster or the ledger.
+``mean(-y*u + phi(u))`` with ``u = x @ theta``. :class:`ShardLoss` binds a
+model to a shard, checks the response once, and returns the value, gradient
+and Hessian up to a requested order from one pass over the rows. All
+evaluations are plain numpy; nothing here talks to the cluster or the ledger.
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ __all__ = [
     "LossModel",
     "LOGIT_LINK",
     "POISSON_LINK",
-    "loss_value",
-    "loss_gradient",
-    "loss_value_gradient",
-    "loss_hessian",
-    "per_sample_gradients",
+    "ShardLoss",
     "shard_to_csv",
     "shard_from_csv",
     "sigmoid",
@@ -35,19 +33,29 @@ __all__ = [
 
 
 def softplus(u: np.ndarray) -> np.ndarray:
-    """log(1 + exp(u)) without overflow; equals u + log1p(exp(-u)) for large u."""
-    return np.logaddexp(0.0, u)
+    """log(1 + exp(u)) as max(u, 0) + log1p(exp(-|u|)), which cannot overflow."""
+    u = np.asarray(u, dtype=np.float64)
+    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-u)) evaluated on the non-overflowing branch for each sign."""
+    """1 / (1 + exp(-u)) from e = exp(-|u|): 1/(1+e) for u >= 0, e/(1+e) below."""
     u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _logistic_weight(u: np.ndarray) -> np.ndarray:
+    """sigmoid(u) * sigmoid(-u) as e / (1 + e)**2 with e = exp(-|u|)."""
+    e = np.exp(-np.abs(u))
+    return e / np.square(1.0 + e)
+
+
+def _exp(u: np.ndarray) -> np.ndarray:
+    """exp whose overflow to inf is silent; the Newton line search rejects
+    the non-finite values it produces."""
+    with np.errstate(over="ignore"):
+        return np.exp(u)
 
 
 @dataclass(frozen=True)
@@ -66,16 +74,15 @@ LOGIT_LINK = Link(
     name="logit",
     phi=softplus,
     phi_prime=sigmoid,
-    # sigmoid(u) * sigmoid(-u), each factor on its stable branch
-    phi_double=lambda u: sigmoid(u) * sigmoid(-u),
+    phi_double=_logistic_weight,
     binary_response=True,
 )
 
 POISSON_LINK = Link(
     name="log",
-    phi=np.exp,
-    phi_prime=np.exp,
-    phi_double=np.exp,
+    phi=_exp,
+    phi_prime=_exp,
+    phi_double=_exp,
     nonnegative_response=True,
 )
 
@@ -153,85 +160,83 @@ class DataShard:
         return self.x.shape[1]
 
 
-def _check_inputs(model: LossModel, theta: np.ndarray, shard: DataShard) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (shard.n_features,):
-        raise DataError(
-            f"theta has shape {theta.shape}; shard has {shard.n_features} features")
-    if not np.all(np.isfinite(theta)):
-        raise DataError("theta contains non-finite entries")
-    model.validate_response(shard.y)
-    return theta
+class ShardLoss:
+    """The mean loss of one model on one shard, bound once and evaluated in
+    one pass per call.
 
-
-def loss_value(model: LossModel, theta: np.ndarray, shard: DataShard) -> float:
-    """Mean loss over the shard."""
-    theta = _check_inputs(model, theta, shard)
-    u = shard.x @ theta
-    if model.family == "linear":
-        r = shard.y - u
-        return float(np.mean(r * r))
-    link = model.link
-    with np.errstate(over="ignore"):
-        vals = -shard.y * u + link.phi(u)
-    return float(np.mean(vals))
-
-
-def loss_gradient(model: LossModel, theta: np.ndarray, shard: DataShard) -> np.ndarray:
-    """Gradient of the mean loss; linear loss is unhalved so it carries a factor 2."""
-    theta = _check_inputs(model, theta, shard)
-    u = shard.x @ theta
-    if model.family == "linear":
-        resid = u - shard.y
-        return (2.0 / shard.n_samples) * (shard.x.T @ resid)
-    with np.errstate(over="ignore"):
-        resid = model.link.phi_prime(u) - shard.y
-    return (shard.x.T @ resid) / shard.n_samples
-
-
-def loss_value_gradient(model: LossModel, theta: np.ndarray,
-                        shard: DataShard) -> tuple[float, np.ndarray]:
-    """Value and gradient in one pass over the data."""
-    theta = _check_inputs(model, theta, shard)
-    u = shard.x @ theta
-    n = shard.n_samples
-    if model.family == "linear":
-        r = shard.y - u
-        return float(np.mean(r * r)), (2.0 / n) * (shard.x.T @ (-r))
-    link = model.link
-    with np.errstate(over="ignore"):
-        value = float(np.mean(-shard.y * u + link.phi(u)))
-        resid = link.phi_prime(u) - shard.y
-    return value, (shard.x.T @ resid) / n
-
-
-def loss_hessian(model: LossModel, theta: np.ndarray, shard: DataShard) -> np.ndarray:
-    """Hessian of the mean loss, a (d, d) symmetric matrix."""
-    theta = _check_inputs(model, theta, shard)
-    n = shard.n_samples
-    if model.family == "linear":
-        return (2.0 / n) * (shard.x.T @ shard.x)
-    u = shard.x @ theta
-    with np.errstate(over="ignore"):
-        w = model.link.phi_double(u)
-    return (shard.x * w[:, None]).T @ shard.x / n
-
-
-def per_sample_gradients(model: LossModel, theta: np.ndarray,
-                         shard: DataShard) -> np.ndarray:
-    """(n, d) matrix whose i-th row is the gradient of sample i's loss term.
-
-    The row mean equals :func:`loss_gradient` up to floating-point reduction
-    order.
+    Binding checks the response against the model; shard arrays are
+    read-only, so the check holds for the evaluator's lifetime. Every call
+    checks theta's shape and finiteness and computes ``u = x @ theta`` once.
+    The family branch, squared error or a canonical GLM cumulant, lives here
+    and nowhere else.
     """
-    theta = _check_inputs(model, theta, shard)
-    u = shard.x @ theta
-    if model.family == "linear":
-        resid = 2.0 * (u - shard.y)
-    else:
-        with np.errstate(over="ignore"):
-            resid = model.link.phi_prime(u) - shard.y
-    return shard.x * resid[:, None]
+
+    def __init__(self, model: LossModel, shard: DataShard):
+        model.validate_response(shard.y)
+        self.model = model
+        self.shard = shard
+
+    def _predict(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.shard.n_features,):
+            raise DataError(
+                f"theta has shape {theta.shape}; shard has {self.shard.n_features} features")
+        if not np.all(np.isfinite(theta)):
+            raise DataError("theta contains non-finite entries")
+        return self.shard.x @ theta
+
+    def _mean(self, u: np.ndarray) -> np.ndarray:
+        link = self.model.link
+        return u if link is None else link.phi_prime(u)
+
+    def _gradient(self, u: np.ndarray) -> np.ndarray:
+        x, n = self.shard.x, self.shard.n_samples
+        excess = self._mean(u) - self.shard.y
+        if self.model.link is None:
+            return (2.0 / n) * (x.T @ excess)
+        return (x.T @ excess) / n
+
+    def eval(self, theta: np.ndarray, order: int = 2) -> tuple:
+        """``(value,)``, ``(value, grad)`` or ``(value, grad, hessian)`` for
+        order 0, 1 or 2; the gradient is ``(d,)`` and the Hessian ``(d, d)``."""
+        if order not in (0, 1, 2):
+            raise DataError(f"order must be 0, 1 or 2, got {order!r}")
+        u = self._predict(theta)
+        x, y, n = self.shard.x, self.shard.y, self.shard.n_samples
+        link = self.model.link
+        if link is None:
+            r = y - u
+            value = float(np.mean(r * r))
+        else:
+            value = float(np.mean(link.phi(u) - y * u))
+        if order == 0:
+            return (value,)
+        grad = self._gradient(u)
+        if order == 1:
+            return value, grad
+        if link is None:
+            return value, grad, (2.0 / n) * (x.T @ x)
+        return value, grad, (x * link.phi_double(u)[:, None]).T @ x / n
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """The gradient alone, bit for bit ``eval(theta, 1)[1]``; what a
+        gradient round needs."""
+        return self._gradient(self._predict(theta))
+
+    def mean(self, theta: np.ndarray) -> np.ndarray:
+        """The model mean of each sample's response at theta."""
+        return self._mean(self._predict(theta))
+
+    def per_sample(self, theta: np.ndarray) -> np.ndarray:
+        """(n, d) matrix whose i-th row is the gradient of sample i's loss term.
+
+        The row mean equals the gradient up to floating-point reduction
+        order; squared error carries its factor 2.
+        """
+        excess = self.mean(theta) - self.shard.y
+        if self.model.link is None:
+            excess = 2.0 * excess
+        return self.shard.x * excess[:, None]
 
 
 def shard_to_csv(shard: DataShard) -> str:

@@ -1,7 +1,10 @@
 """Damped Newton minimization for smooth convex objectives.
 
-The objective convention used across the package: ``objective(theta)`` returns
-``(value, gradient, hessian)`` as ``(float, (d,), (d, d))``.
+The objective convention used across the package: ``objective(theta, order)``
+returns ``(value,)``, ``(value, gradient)`` or ``(value, gradient, hessian)``
+as ``float``, ``(d,)`` and ``(d, d)`` for order 0, 1 or 2.
+:meth:`ShardLoss.eval <csl.losses.ShardLoss.eval>` is such an objective. The
+line search asks for values only.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, NonConvergenceError
-from .losses import DataShard, LossModel, loss_gradient, loss_hessian, loss_value
+from .losses import DataShard, LossModel, ShardLoss
 
-__all__ = ["SolverSettings", "newton_minimize", "shard_objective", "minimize_shard_loss"]
+__all__ = ["SolverSettings", "newton_minimize", "minimize_shard_loss"]
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]]
+Objective = Callable[[np.ndarray, int], tuple]
 
 # Line-search step below this is a stall, not progress.
 _MIN_STEP = 1e-20
@@ -85,7 +88,7 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
     theta = np.array(theta0, dtype=np.float64)
     if theta.ndim != 1:
         raise DataError("theta0 must be a vector")
-    value, grad, hessian = objective(theta)
+    value, grad, hessian = objective(theta, 2)
     for iteration in range(settings.max_iters):
         gnorm = float(np.max(np.abs(grad)))
         if not np.isfinite(gnorm):
@@ -99,7 +102,7 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
         t = 1.0
         while True:
             candidate = theta + t * p
-            cand_value = objective(candidate)[0]
+            cand_value = objective(candidate, 0)[0]
             if np.isfinite(cand_value) and cand_value <= value + settings.armijo_c * t * slope:
                 break
             t *= settings.backtrack_shrink
@@ -108,7 +111,7 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
                     f"line search stalled at iteration {iteration}",
                     last_iterate=theta, gradient_norm=gnorm, iterations=iteration)
         theta = candidate
-        value, grad, hessian = objective(theta)
+        value, grad, hessian = objective(theta, 2)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= settings.grad_tol:
         return theta
@@ -118,21 +121,10 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
         last_iterate=theta, gradient_norm=gnorm, iterations=settings.max_iters)
 
 
-def shard_objective(model: LossModel, shard: DataShard) -> Objective:
-    """Objective closure for the mean loss on one shard."""
-
-    def objective(theta: np.ndarray):
-        return (loss_value(model, theta, shard),
-                loss_gradient(model, theta, shard),
-                loss_hessian(model, theta, shard))
-
-    return objective
-
-
 def minimize_shard_loss(model: LossModel, shard: DataShard,
                         settings: SolverSettings = SolverSettings(),
                         theta0: np.ndarray | None = None) -> np.ndarray:
     """Local maximum-likelihood fit on one shard, started at zero by default."""
     if theta0 is None:
         theta0 = np.zeros(shard.n_features)
-    return newton_minimize(shard_objective(model, shard), theta0, settings)
+    return newton_minimize(ShardLoss(model, shard).eval, theta0, settings)

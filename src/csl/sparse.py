@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import DataError, NonConvergenceError
-from .losses import DataShard, LossModel, loss_value_gradient
+from .losses import DataShard, LossModel, ShardLoss
 from .surrogate import build_surrogate, surrogate_value_gradient
 
 __all__ = [
@@ -156,21 +156,12 @@ def lambda_heuristic(sigma_hat: float, d: int, n: int, scale: float = 2.0) -> fl
 
 def estimate_noise_sd(model: LossModel, theta: np.ndarray, shard: DataShard) -> float:
     """Root mean squared residual of y against the model mean at theta."""
-    theta = np.asarray(theta, dtype=np.float64)
-    u = shard.x @ theta
-    if model.family == "linear":
-        mean = u
-    else:
-        with np.errstate(over="ignore"):
-            mean = model.link.phi_prime(u)
-    resid = shard.y - mean
+    return _noise_sd(ShardLoss(model, shard), theta)
+
+
+def _noise_sd(loss: ShardLoss, theta: np.ndarray) -> float:
+    resid = loss.shard.y - loss.mean(theta)
     return float(np.sqrt(np.mean(resid * resid)))
-
-
-def _shard_value_grad(model: LossModel, shard: DataShard) -> ValueGrad:
-    def value_grad(theta):
-        return loss_value_gradient(model, theta, shard)
-    return value_grad
 
 
 def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
@@ -183,13 +174,17 @@ def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
     The first pass over-penalizes when the signal is strong; the recursion
     settles within a few passes as residuals approach the noise floor.
     """
-    value_grad = _shard_value_grad(model, shard)
+    loss = ShardLoss(model, shard)
+
+    def value_grad(theta):
+        return loss.eval(theta, 1)
+
     if lam is not None:
         return fista_l1(value_grad, lam, np.zeros(shard.n_features), settings)
     theta = np.zeros(shard.n_features)
     estimate = None
     for _ in range(max(1, refit_passes)):
-        sigma_hat = estimate_noise_sd(model, theta, shard)
+        sigma_hat = _noise_sd(loss, theta)
         lam_pass = lambda_heuristic(sigma_hat, shard.n_features, shard.n_samples)
         estimate = fista_l1(value_grad, lam_pass, theta, settings)
         theta = estimate.theta
@@ -211,7 +206,7 @@ def csl_lasso(cluster: Cluster, anchor: np.ndarray | None = None,
                              settings=settings).theta
     anchor = np.asarray(anchor, dtype=np.float64)
     if lam is None:
-        sigma_hat = estimate_noise_sd(cluster.model, anchor, cluster.shards[host - 1])
+        sigma_hat = _noise_sd(cluster.losses[host - 1], anchor)
         lam = lambda_heuristic(sigma_hat, cluster.d, cluster.n_total)
     surr = build_surrogate(cluster, anchor, host=host)
 

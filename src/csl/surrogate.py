@@ -19,8 +19,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import DataError
-from .losses import (DataShard, LossModel, loss_gradient, loss_hessian,
-                     loss_value, loss_value_gradient)
+from .losses import ShardLoss
 
 __all__ = [
     "SurrogateLoss", "QuadraticSurrogate",
@@ -34,11 +33,11 @@ class SurrogateLoss:
     """Tilted local loss standing in for the pooled loss.
 
     Its gradient at ``anchor`` equals ``pooled_grad_at_anchor`` by
-    construction, up to one floating-point subtraction.
+    construction, up to one floating-point subtraction. ``loss`` is the host
+    shard's bound evaluator.
     """
 
-    model: LossModel
-    shard: DataShard
+    loss: ShardLoss
     anchor: np.ndarray
     correction: np.ndarray
     pooled_grad_at_anchor: np.ndarray
@@ -83,7 +82,7 @@ def build_surrogate(cluster: Cluster, anchor: np.ndarray, host: int = 1) -> Surr
     anchor = _check_anchor(cluster, anchor, host)
     pooled_grad, local_grads = cluster.gradient_round(anchor)
     correction = local_grads[host - 1] - pooled_grad
-    return SurrogateLoss(model=cluster.model, shard=cluster.shards[host - 1],
+    return SurrogateLoss(loss=cluster.losses[host - 1],
                          anchor=anchor, correction=correction,
                          pooled_grad_at_anchor=pooled_grad, host=host)
 
@@ -93,33 +92,32 @@ def build_quadratic_surrogate(cluster: Cluster, anchor: np.ndarray,
     """One gradient round plus a local Hessian evaluation at the anchor."""
     anchor = _check_anchor(cluster, anchor, host)
     pooled_grad, _ = cluster.gradient_round(anchor)
-    hessian = loss_hessian(cluster.model, anchor, cluster.shards[host - 1])
+    hessian = cluster.losses[host - 1].eval(anchor, 2)[2]
     return QuadraticSurrogate(anchor=anchor, pooled_grad_at_anchor=pooled_grad,
                               local_hessian=hessian)
 
 
-def surrogate_value(s: SurrogateLoss, theta: np.ndarray) -> float:
+def surrogate_eval(s: SurrogateLoss, theta: np.ndarray, order: int = 2) -> tuple:
+    """Value, gradient and Hessian of the surrogate at theta, up to ``order``
+    as in :meth:`ShardLoss.eval <csl.losses.ShardLoss.eval>`, from one pass
+    over the host shard.
+
+    The linear tilt leaves the Hessian equal to the host shard's loss Hessian.
+    """
     theta = np.asarray(theta, dtype=np.float64)
-    return loss_value(s.model, theta, s.shard) - float(theta @ s.correction)
+    out = s.loss.eval(theta, order)
+    value = out[0] - float(theta @ s.correction)
+    if order == 0:
+        return (value,)
+    return (value, out[1] - s.correction) + out[2:]
+
+
+def surrogate_value(s: SurrogateLoss, theta: np.ndarray) -> float:
+    return surrogate_eval(s, theta, 0)[0]
 
 
 def surrogate_value_gradient(s: SurrogateLoss,
                              theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and gradient in one data pass; the cheap path for first-order
     solvers where a Hessian would cost O(n d^2)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    value, grad = loss_value_gradient(s.model, theta, s.shard)
-    return value - float(theta @ s.correction), grad - s.correction
-
-
-def surrogate_eval(s: SurrogateLoss,
-                   theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of the surrogate at theta.
-
-    The linear tilt leaves the Hessian equal to the host shard's loss Hessian.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    value = loss_value(s.model, theta, s.shard) - float(theta @ s.correction)
-    grad = loss_gradient(s.model, theta, s.shard) - s.correction
-    hess = loss_hessian(s.model, theta, s.shard)
-    return value, grad, hess
+    return surrogate_eval(s, theta, 1)

@@ -3,7 +3,8 @@
 Wire format, little-endian throughout: each frame is a 1-byte opcode, a 4-byte
 unsigned payload length, then the payload. Parameter vectors travel as raw
 float64 bytes; shards travel as CSV text (see losses.shard_to_csv), which
-round-trips float64 exactly.
+round-trips float64 exactly. A local-min request carries the four
+SolverSettings fields packed as ``<dIdd``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import threading
 import numpy as np
 
 from .errors import CslError, WorkerError
-from .losses import DataShard, LossModel, loss_gradient, shard_from_csv, shard_to_csv
-from .solvers import SolverSettings, minimize_shard_loss
+from .losses import DataShard, LossModel, ShardLoss, shard_from_csv, shard_to_csv
+from .solvers import SolverSettings, newton_minimize
 
 __all__ = [
     "OP_LOAD_SHARD", "OP_EVAL_GRAD", "OP_GRAD_REPLY", "OP_LOCAL_MIN_REQ",
@@ -33,6 +34,8 @@ OP_SHUTDOWN = 0x06
 OP_ERROR = 0x7F
 
 _HEADER = struct.Struct("<BI")
+# grad_tol, max_iters, backtrack_shrink, armijo_c
+_SETTINGS = struct.Struct("<dIdd")
 _MAX_PAYLOAD = 1 << 31  # sanity bound, far above anything this package sends
 
 
@@ -86,7 +89,7 @@ class WorkerServer:
 
     def __init__(self, model: LossModel, host: str = "127.0.0.1", port: int = 0):
         self.model = model
-        self._shard: DataShard | None = None
+        self._loss: ShardLoss | None = None
         self._listener = socket.create_server((host, port))
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -144,22 +147,22 @@ class WorkerServer:
         if opcode not in (OP_LOAD_SHARD, OP_SHUTDOWN, OP_EVAL_GRAD, OP_LOCAL_MIN_REQ):
             raise CslError(f"unknown opcode 0x{opcode:02x}")
         if opcode == OP_LOAD_SHARD:
-            self._shard = shard_from_csv(payload.decode("utf-8"))
+            self._loss = ShardLoss(self.model, shard_from_csv(payload.decode("utf-8")))
             return None
         if opcode == OP_SHUTDOWN:
             return None
-        if self._shard is None:
+        if self._loss is None:
             raise CslError("no shard loaded")
         if opcode == OP_EVAL_GRAD:
-            theta = _decode_vector(payload)
-            grad = loss_gradient(self.model, theta, self._shard)
+            grad = self._loss.gradient(_decode_vector(payload))
             return pack_frame(OP_GRAD_REPLY, _encode_vector(grad))
         if opcode == OP_LOCAL_MIN_REQ:
-            if len(payload) != 8:
-                raise CslError("local-min request payload must be one float64")
-            (grad_tol,) = struct.unpack("<d", payload)
-            settings = SolverSettings(grad_tol=grad_tol)
-            theta = minimize_shard_loss(self.model, self._shard, settings)
+            if len(payload) != _SETTINGS.size:
+                raise CslError(f"local-min request payload must be {_SETTINGS.size} "
+                               f"bytes, got {len(payload)}")
+            settings = SolverSettings(*_SETTINGS.unpack(payload))
+            start = np.zeros(self._loss.shard.n_features)
+            theta = newton_minimize(self._loss.eval, start, settings)
             return pack_frame(OP_LOCAL_MIN_REPLY, _encode_vector(theta))
         raise AssertionError("unreachable")
 
@@ -208,8 +211,10 @@ class WorkerClient:
     def recv_gradient(self) -> np.ndarray:
         return _decode_vector(self._expect(OP_GRAD_REPLY))
 
-    def send_local_min_request(self, grad_tol: float) -> None:
-        self._send(OP_LOCAL_MIN_REQ, struct.pack("<d", grad_tol))
+    def send_local_min_request(self, settings: SolverSettings) -> None:
+        self._send(OP_LOCAL_MIN_REQ, _SETTINGS.pack(
+            settings.grad_tol, settings.max_iters, settings.backtrack_shrink,
+            settings.armijo_c))
 
     def recv_local_min(self) -> np.ndarray:
         return _decode_vector(self._expect(OP_LOCAL_MIN_REPLY))

@@ -24,8 +24,7 @@ from csl.datagen import derive_rng, gen_logistic, gen_sparse_linear
 from csl.estimators import averaging_estimator, ilea, minimize_surrogate, one_step_update
 from csl.experiments import desk_presets, results_hash, run_experiment
 from csl.inference import sandwich
-from csl.losses import (DataShard, LossModel, loss_gradient, loss_hessian,
-                        loss_value_gradient)
+from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import minimize_shard_loss
 from csl.sparse import L1Settings, csl_lasso, fista_l1, local_lasso
 from csl.surrogate import (build_quadratic_surrogate, build_surrogate,
@@ -78,7 +77,7 @@ def test_criterion_01_anchor_identity(capfd):
             anchor = rng.normal(size=d)
             s = build_surrogate(cluster, anchor)
             _, grad = surrogate_value_gradient(s, anchor)
-            pooled_grad = loss_gradient(model, anchor, cluster.pooled_shard(meter=False))
+            pooled_grad = ShardLoss(model, cluster.pooled_shard(meter=False)).eval(anchor, 1)[1]
             assert float(np.max(np.abs(grad - pooled_grad))) < 1e-12
         assert time.perf_counter() - start < 5.0
 
@@ -134,13 +133,14 @@ def test_criterion_03_derivatives_match_finite_differences(capfd):
             shard = DataShard(x=x, y=y)
             theta = 0.3 * rng.normal(size=d)
 
-            value, grad = loss_value_gradient(model, theta, shard)
-            fd = fd_gradient(lambda t: loss_value_gradient(model, t, shard)[0], theta)
+            loss = ShardLoss(model, shard)
+            value, grad = loss.eval(theta, 1)
+            fd = fd_gradient(lambda t: loss.eval(t, 1)[0], theta)
             scale = max(1.0, float(np.linalg.norm(fd)))
             assert float(np.linalg.norm(grad - fd)) / scale < 1e-5
 
-            hess = loss_hessian(model, theta, shard)
-            fd_h = fd_jacobian(lambda t: loss_value_gradient(model, t, shard)[1], theta)
+            hess = loss.eval(theta, 2)[2]
+            fd_h = fd_jacobian(lambda t: loss.eval(t, 1)[1], theta)
             scale = max(1.0, float(np.linalg.norm(fd_h)))
             assert float(np.linalg.norm(hess - fd_h)) / scale < 1e-5
 
@@ -260,8 +260,10 @@ def test_criterion_09_oracle_equivalences(capfd):
         y = x @ np.array([1.2, 0.0, -0.6]) + 0.4 * rng.normal(size=40)
         shard = DataShard(x=x, y=y)
 
+        loss = ShardLoss(LossModel.linear(), shard)
+
         def value_grad(theta):
-            return loss_value_gradient(LossModel.linear(), theta, shard)
+            return loss.eval(theta, 1)
 
         for lam in (0.05, 0.4, 1.5):
             fit = fista_l1(value_grad, lam, np.zeros(3), L1Settings(tol=1e-12))

@@ -123,9 +123,9 @@ class TestPosteriors:
         cluster, _ = logistic_cluster(k=4)
         prior = Prior.flat()
         theta = np.array([0.3, 0.1])
-        from csl.losses import loss_value
+        from csl.losses import ShardLoss
         pooled = cluster.pooled_shard(meter=False)
-        want = -cluster.n_total * loss_value(cluster.model, theta, pooled)
+        want = -cluster.n_total * ShardLoss(cluster.model, pooled).eval(theta, 0)[0]
         assert full_log_posterior(cluster, prior, theta) == pytest.approx(
             want, rel=1e-12)
 

@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from csl.cli import main
-from csl.experiments import results_hash
+from csl.cli import _config_to_mapping, main
+from csl.experiments import config_from_mapping, desk_presets, paper_presets, results_hash
 
 
 def run_cli(*argv):
@@ -113,6 +113,12 @@ class TestRun:
                        "n=32", "d=2", "--out", str(tmp_path / "f.csv"))
         assert code == 3
         assert "flagged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted({**desk_presets(), **paper_presets()}))
+def test_every_preset_round_trips_through_the_cli_mapping(name):
+    preset = {**desk_presets(), **paper_presets()}[name]
+    assert config_from_mapping(_config_to_mapping(preset)) == preset
 
 
 class TestReport:

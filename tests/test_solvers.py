@@ -3,16 +3,16 @@ import pytest
 from conftest import gd_minimize
 
 from csl.errors import DataError, NonConvergenceError
-from csl.losses import DataShard, LossModel, loss_value_gradient
-from csl.solvers import SolverSettings, minimize_shard_loss, newton_minimize, shard_objective
+from csl.losses import DataShard, LossModel, ShardLoss
+from csl.solvers import SolverSettings, minimize_shard_loss, newton_minimize
 
 
 def quadratic_objective(target):
     target = np.asarray(target, dtype=np.float64)
 
-    def objective(theta):
+    def objective(theta, order):
         diff = theta - target
-        return 0.5 * float(diff @ diff), diff, np.eye(target.size)
+        return (0.5 * float(diff @ diff), diff, np.eye(target.size))[:order + 1]
 
     return objective
 
@@ -22,9 +22,9 @@ def test_quadratic_converges_in_one_step():
     calls = {"count": 0}
     base = quadratic_objective(target)
 
-    def counting(theta):
+    def counting(theta, order):
         calls["count"] += 1
-        return base(theta)
+        return base(theta, order)
 
     result = newton_minimize(counting, np.zeros(3))
     np.testing.assert_allclose(result, target, rtol=0, atol=1e-12)
@@ -46,7 +46,7 @@ def test_logistic_fit_matches_first_order_oracle():
     shard = DataShard(x=x, y=y)
     model = LossModel.logistic()
     fit = minimize_shard_loss(model, shard)
-    oracle = gd_minimize(lambda t: loss_value_gradient(model, t, shard), np.zeros(3))
+    oracle = gd_minimize(lambda t: ShardLoss(model, shard).eval(t, 1), np.zeros(3))
     np.testing.assert_allclose(fit, oracle, rtol=0, atol=1e-7)
 
 
@@ -84,9 +84,54 @@ def test_nonfinite_candidate_is_backtracked_not_fatal():
     y = rng.poisson(1.5, size=50).astype(float)
     shard = DataShard(x=x, y=y)
     fit = minimize_shard_loss(LossModel.glm("log"), shard)
-    value, grad, _ = shard_objective(LossModel.glm("log"), shard)(fit)
+    value, grad = ShardLoss(LossModel.glm("log"), shard).eval(fit, 1)
     assert np.isfinite(value)
     assert np.max(np.abs(grad)) <= 1e-8
+
+
+def counting_shard_objective(shard):
+    """ShardLoss.eval on a logistic shard, logging (order, theta) per call."""
+    loss = ShardLoss(LossModel.logistic(), shard)
+    calls = []
+
+    def objective(theta, order):
+        calls.append((order, np.array(theta)))
+        return loss.eval(theta, order)
+
+    return objective, calls
+
+
+class TestObjectiveOrders:
+    def test_line_search_asks_for_values_only(self):
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((120, 3))
+        y = (rng.uniform(size=120) < 1.0 / (1.0 + np.exp(-x @ np.array([2.0, -1.0, 0.5])))
+             ).astype(float)
+        objective, calls = counting_shard_objective(DataShard(x=x, y=y))
+        # start far out so that some steps backtrack
+        newton_minimize(objective, np.full(3, 6.0))
+        orders = [order for order, _ in calls]
+        assert set(orders) == {0, 2}
+        steps = orders.count(2) - 1
+        assert orders[0] == 2
+        assert orders.count(0) > steps  # some probe was rejected
+        # every Hessian after the first is taken at the accepted probe
+        for i, (order, theta) in enumerate(calls[1:], start=1):
+            if order == 2:
+                assert calls[i - 1][0] == 0
+                np.testing.assert_array_equal(theta, calls[i - 1][1])
+
+    def test_hessians_are_iterations_plus_one(self):
+        # separable labels exhaust the budget, so the reported iteration
+        # count is the number of Newton steps taken
+        x = np.concatenate([np.ones((20, 1)), -np.ones((20, 1))])
+        y = np.concatenate([np.ones(20), np.zeros(20)])
+        objective, calls = counting_shard_objective(DataShard(x=x, y=y))
+        with pytest.raises(NonConvergenceError) as info:
+            newton_minimize(objective, np.zeros(1), SolverSettings(max_iters=8))
+        orders = [order for order, _ in calls]
+        assert orders.count(2) == info.value.iterations + 1 == 9
+        assert orders.count(0) == len(orders) - 9
 
 
 class TestSettingsValidation:

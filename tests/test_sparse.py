@@ -4,7 +4,7 @@ import pytest
 from csl.cluster import Cluster
 from csl.datagen import derive_rng, gen_sparse_linear
 from csl.errors import DataError
-from csl.losses import DataShard, LossModel, loss_value_gradient
+from csl.losses import DataShard, LossModel, ShardLoss
 from csl.sparse import (L1Settings, averaging_lasso, csl_lasso,
                         estimate_noise_sd, fista_l1, iterative_csl_lasso,
                         lambda_heuristic, local_lasso, soft_threshold)
@@ -13,8 +13,10 @@ from conftest import enumerate_lasso_d3
 
 
 def shard_value_grad(model, shard):
+    loss = ShardLoss(model, shard)
+
     def value_grad(theta):
-        return loss_value_gradient(model, theta, shard)
+        return loss.eval(theta, 1)
     return value_grad
 
 
@@ -59,7 +61,7 @@ class TestFista:
         lam = 0.4
         fit = fista_l1(shard_value_grad(LossModel.linear(), shard), lam,
                        np.zeros(3), L1Settings(tol=1e-10))
-        _, grad = loss_value_gradient(LossModel.linear(), fit.theta, shard)
+        _, grad = ShardLoss(LossModel.linear(), shard).eval(fit.theta, 1)
         slack = 1e-6
         for j in range(3):
             if fit.theta[j] != 0.0:

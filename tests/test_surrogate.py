@@ -4,7 +4,7 @@ import pytest
 from csl.cluster import Cluster
 from csl.datagen import derive_rng, gen_logistic
 from csl.errors import DataError
-from csl.losses import LossModel, loss_gradient, loss_hessian, loss_value
+from csl.losses import LossModel, ShardLoss
 from csl.surrogate import (build_quadratic_surrogate, build_surrogate,
                            surrogate_eval, surrogate_value,
                            surrogate_value_gradient)
@@ -21,12 +21,12 @@ class TestAnchorIdentity:
     def test_gradient_at_anchor_equals_pooled_gradient(self):
         cluster = logistic_cluster()
         rng = derive_rng(3, "anchors")
-        pooled = cluster.pooled_shard(meter=False)
+        pooled = ShardLoss(cluster.model, cluster.pooled_shard(meter=False))
         for _ in range(12):
             anchor = rng.normal(size=cluster.d)
             s = build_surrogate(cluster, anchor)
             _, grad = surrogate_value_gradient(s, anchor)
-            pooled_grad = loss_gradient(cluster.model, anchor, pooled)
+            pooled_grad = pooled.eval(anchor, 1)[1]
             assert np.max(np.abs(grad - pooled_grad)) < 1e-12
 
     def test_correction_is_local_minus_pooled(self):
@@ -34,9 +34,9 @@ class TestAnchorIdentity:
         anchor = np.full(cluster.d, 0.3)
         s = build_surrogate(cluster, anchor)
         host_shard = cluster.shards[0]
-        expected = (loss_gradient(cluster.model, anchor, host_shard)
-                    - loss_gradient(cluster.model, anchor,
-                                    cluster.pooled_shard(meter=False)))
+        expected = (ShardLoss(cluster.model, host_shard).eval(anchor, 1)[1]
+                    - ShardLoss(cluster.model,
+                                cluster.pooled_shard(meter=False)).eval(anchor, 1)[1])
         np.testing.assert_allclose(s.correction, expected, atol=1e-15)
 
 
@@ -46,7 +46,7 @@ class TestSurrogateGeometry:
         anchor = np.zeros(cluster.d)
         s = build_surrogate(cluster, anchor)
         theta = np.array([0.4, -0.2, 0.9, 0.1])
-        direct = (loss_value(cluster.model, theta, cluster.shards[0])
+        direct = (ShardLoss(cluster.model, cluster.shards[0]).eval(theta, 0)[0]
                   - float(theta @ s.correction))
         assert surrogate_value(s, theta) == pytest.approx(direct, abs=1e-15)
 
@@ -64,7 +64,7 @@ class TestSurrogateGeometry:
         theta = np.array([0.1, 0.2, 0.3, -0.4])
         _, _, hess = surrogate_eval(s, theta)
         np.testing.assert_array_equal(
-            hess, loss_hessian(cluster.model, theta, cluster.shards[0]))
+            hess, ShardLoss(cluster.model, cluster.shards[0]).eval(theta, 2)[2])
 
 
 class TestQuadraticSurrogate:
@@ -127,5 +127,5 @@ class TestValidation:
         s = build_surrogate(cluster, np.full(cluster.d, 0.2))
         theta = np.array([0.3, -0.6, 0.1, 0.9])
         assert surrogate_value(s, theta) == pytest.approx(
-            loss_value(cluster.model, theta, cluster.shards[0]), abs=1e-15)
+            ShardLoss(cluster.model, cluster.shards[0]).eval(theta, 0)[0], abs=1e-15)
         np.testing.assert_array_equal(s.correction, np.zeros(cluster.d))

@@ -18,8 +18,8 @@ from .estimators import (EXACT_SURROGATE, ONE_STEP, IleaTrajectory, SolverSettin
                          minimize_surrogate, newton_minimize, one_step_update,
                          subsample_estimator)
 from .experiments import (ExperimentConfig, RunResult, config_from_mapping,
-                          desk_presets, paper_presets, parse_config_text, report,
-                          results_hash, run_experiment)
+                          config_to_mapping, desk_presets, paper_presets,
+                          parse_config_text, report, results_hash, run_experiment)
 from .inference import (ConfidenceIntervals, confidence_intervals, normal_quantile,
                         sandwich, sigma_cross, sigma_global, sigma_local)
 from .losses import DataShard, Link, LossModel, ShardLoss, shard_from_csv, shard_to_csv

@@ -10,15 +10,15 @@ configuration, 3 completed with flagged trials.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from .datagen import derive_rng, gen_logistic, gen_sparse_linear
 from .errors import ConfigError, DataError
-from .experiments import (ExperimentConfig, config_from_mapping, desk_presets,
-                          paper_presets, parse_config_text, report, run_experiment)
+from .experiments import (RUNTIME_METRICS, config_from_mapping, config_to_mapping,
+                          desk_presets, paper_presets, parse_config_text, report,
+                          run_experiment)
 from .losses import shard_to_csv
 
 __all__ = ["main"]
@@ -55,24 +55,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# Config fields whose mapping key is shorter than the field name.
-_MAPPING_KEYS = {"n_values": "n", "k_values": "k"}
-
-
-def _config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
-    """Every set field of the config as the string mapping config_from_mapping
-    reads back."""
-    mapping = {}
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        mapping[_MAPPING_KEYS.get(f.name, f.name)] = str(value)
-    return mapping
-
-
 def _cmd_run(args) -> int:
     mapping: dict[str, str] = {}
     if args.preset:
@@ -80,7 +62,7 @@ def _cmd_run(args) -> int:
         if args.preset not in presets:
             raise ConfigError(f"unknown preset {args.preset!r}; "
                               f"valid: {', '.join(sorted(presets))}")
-        mapping.update(_config_to_mapping(presets[args.preset]))
+        mapping.update(config_to_mapping(presets[args.preset]))
     if args.config:
         mapping.update(parse_config_text(Path(args.config).read_text()))
     for item in args.overrides:
@@ -108,7 +90,7 @@ def _cmd_report(args) -> int:
     summary, written = report(args.results, out_dir=args.out_dir)
     for path in written:
         print(f"wrote {path}")
-    show = [row for row in summary if row["metric"] not in ("runtime_s",)]
+    show = [row for row in summary if row["metric"] not in RUNTIME_METRICS]
     if show:
         print(f"{'experiment':<14}{'estimator':<18}{'metric':<18}"
               f"{'n':>7}{'k':>6}{'median':>14}{'mad':>12}")

@@ -22,6 +22,7 @@ retained shard is bound to one :class:`~csl.losses.ShardLoss` evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -182,15 +183,24 @@ class Cluster:
         Over tcp the request carries all four solver settings, so remote fits
         run exactly as in-process ones do.
         """
+        start = np.zeros(self.d)
+
+        def fit(loss: ShardLoss) -> np.ndarray:
+            return newton_minimize(loss.eval, start, settings)
+
+        if not self._clients:
+            return self.local_fit_round(fit)
         for client in self._clients:
             client.send_local_min_request(settings)
-        start = np.zeros(self.d)
-        fits = [newton_minimize(self.losses[0].eval, start, settings)]
-        if self._clients:
-            fits.extend(client.recv_local_min() for client in self._clients)
-        else:
-            fits.extend(newton_minimize(loss.eval, start, settings)
-                        for loss in self.losses[1:])
+        fits = [fit(self.losses[0])]
+        fits.extend(client.recv_local_min() for client in self._clients)
+        self._meter(self.k - 1)
+        return fits
+
+    def local_fit_round(self, fit: Callable[[ShardLoss], Any]) -> list:
+        """``fit`` applied to every retained shard evaluator in worker order;
+        ledgered as a local-minimizer round (k-1 reply vectors)."""
+        fits = [fit(loss) for loss in self.losses]
         self._meter(self.k - 1)
         return fits
 

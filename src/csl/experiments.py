@@ -1,17 +1,20 @@
 """Experiment orchestration: synthetic sweeps, results CSV, summaries.
 
-Each experiment loops over sweep points and trials, generates fresh data per
-trial from a derived RNG stream, runs a fixed estimator set, and appends tidy
-rows ``experiment,d,n,k,trial,estimator,metric,value``. Trials run
-sequentially and flush as they finish, so a config plus a seed pins the
-output bytes; wall-clock rows are advisory and excluded from the results
-hash. Estimator failures inside a trial become ``error_flag`` rows and the
-run continues.
+Each experiment loops over sweep points and trials. One design table names
+each experiment's trial body and the axis it sweeps under a fixed
+``n_total``. A shared prologue generates fresh data per trial from a derived
+RNG stream, builds the cluster and times the body, which emits tidy rows
+``experiment,d,n,k,trial,estimator,metric,value``. A trial's rows are
+buffered and written only once it succeeds; a trial that raises a
+``CslError`` leaves only its ``error_flag`` row, and the run continues.
+Trials run sequentially, so a config plus a seed pins the output bytes;
+wall-clock rows are advisory and excluded from the results hash.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import math
 import statistics
@@ -34,8 +37,9 @@ from .surrogate import build_surrogate
 
 __all__ = [
     "EXPERIMENTS", "RESULTS_HEADER", "RUNTIME_METRICS", "ExperimentConfig",
-    "config_from_mapping", "parse_config_text", "run_experiment", "RunResult",
-    "results_hash", "report", "desk_presets", "paper_presets",
+    "config_from_mapping", "config_to_mapping", "parse_config_text",
+    "run_experiment", "RunResult", "results_hash", "report", "desk_presets",
+    "paper_presets",
 ]
 
 EXPERIMENTS = ("MestSweepN", "MestSweepK", "Coverage", "LassoFixedN",
@@ -108,11 +112,15 @@ class ExperimentConfig:
         return Path(f"results_{self.experiment}.csv")
 
 
-_INT_KEYS = {"d", "n_total", "trials", "seed", "rounds", "mcmc_iters", "bins", "s"}
-_INT_LIST_KEYS = {"n", "k"}
-_FLOAT_KEYS = {"level", "sigma", "lam_scale"}
-_STR_KEYS = {"experiment", "out"}
-_ALL_KEYS = _INT_KEYS | _INT_LIST_KEYS | _FLOAT_KEYS | _STR_KEYS
+# Parsers by annotated field type; an optional field parses as its base type.
+_PARSERS = {"int": int, "float": float, "str": str,
+            "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split(",")
+                                                  if v.strip())}
+# Config fields whose mapping key is shorter than the field name.
+_MAPPING_KEYS = {"n_values": "n", "k_values": "k"}
+# Mapping key -> (config field, parser), one entry per ExperimentConfig field.
+_FIELDS = {_MAPPING_KEYS.get(f.name, f.name): (f, _PARSERS[f.type.removesuffix(" | None")])
+           for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -131,36 +139,43 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a validated config from string key/values (file or CLI flags)."""
-    unknown = set(mapping) - _ALL_KEYS
+    unknown = set(mapping) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}; "
-                          f"valid: {', '.join(sorted(_ALL_KEYS))}")
+                          f"valid: {', '.join(sorted(_FIELDS))}")
     if "experiment" not in mapping:
         raise ConfigError("config must set 'experiment'")
-    kwargs: dict = {"experiment": mapping["experiment"]}
+    kwargs: dict = {}
     try:
-        for key in _INT_KEYS & set(mapping):
-            kwargs[key] = int(mapping[key])
-        for key in _FLOAT_KEYS & set(mapping):
-            kwargs[key] = float(mapping[key])
-        if "n" in mapping:
-            kwargs["n_values"] = tuple(int(v) for v in mapping["n"].split(",") if v.strip())
-        if "k" in mapping:
-            kwargs["k_values"] = tuple(int(v) for v in mapping["k"].split(",") if v.strip())
+        for key, text in mapping.items():
+            f, parse = _FIELDS[key]
+            kwargs[f.name] = parse(text)
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}")
-    if "out" in mapping:
-        kwargs["out"] = mapping["out"]
     if "n_values" not in kwargs:
         canonical = _ALIASES.get(kwargs["experiment"].lower(), kwargs["experiment"])
         n_total = kwargs.get("n_total")
         if canonical == "LassoFixedN" and n_total:
             # per-shard sizes are fully determined by the fixed total
-            ks = kwargs.get("k_values", (16,))
+            ks = kwargs.get("k_values", _FIELDS["k"][0].default)
             kwargs["n_values"] = tuple(dict.fromkeys(n_total // k for k in ks))
         else:
             raise ConfigError("config must set 'n' (one value or a comma list)")
     return ExperimentConfig(**kwargs)
+
+
+def config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
+    """Every set field of the config as the string mapping
+    :func:`config_from_mapping` reads back."""
+    mapping = {}
+    for key, (f, _) in _FIELDS.items():
+        value = getattr(config, f.name)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        mapping[key] = str(value)
+    return mapping
 
 
 @dataclass
@@ -170,110 +185,59 @@ class RunResult:
     error_flags: int
 
 
-class _Emitter:
-    """Serialized row appender: validates, writes, flushes per trial."""
-
-    def __init__(self, path: Path, config: ExperimentConfig):
-        self.config = config
-        self.path = path
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(RESULTS_HEADER)
-        self.rows_written = 0
-        self.error_flags = 0
-
-    def emit(self, n: int, k: int, trial: int, estimator: str, metric: str, value) -> None:
-        value = float(value)
-        if not math.isfinite(value):
-            raise CslError(f"non-finite value for metric {metric!r}")
-        self._writer.writerow([self.config.experiment, self.config.d, n, k,
-                               trial, estimator, metric, repr(value)])
-        self.rows_written += 1
-        if metric == "error_flag":
-            self.error_flags += 1
-
-    def flush(self) -> None:
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def _sq_error(theta: np.ndarray, theta_star: np.ndarray) -> float:
     diff = np.asarray(theta) - theta_star
     return float(diff @ diff)
 
 
-def _chain_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2 ** 63 - 1))
-
-
-def _mest_trial(config: ExperimentConfig, emitter: _Emitter, n: int, k: int,
-                trial: int) -> None:
-    rng = derive_rng(config.seed, config.experiment, n, k, trial, "data")
-    pooled, theta_star = gen_logistic(config.d, n * k, rng)
-    cluster = Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, k)
+def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
+                trial: int, emit) -> None:
     solver = SolverSettings()
-    start = time.perf_counter()
-
     ledger0 = cluster.ledger.copy()
     theta_global = minimize_shard_loss(cluster.model, cluster.pooled_shard(meter=True), solver)
-    emitter.emit(n, k, trial, "global", "sq_error", _sq_error(theta_global, theta_star))
-    emitter.emit(n, k, trial, "global", "samples_moved",
-                 cluster.ledger.samples_moved - ledger0.samples_moved)
-    emitter.emit(n, k, trial, "global", "vectors_sent", 0)
+    emit("global", "sq_error", _sq_error(theta_global, theta_star))
+    emit("global", "samples_moved", cluster.ledger.samples_moved - ledger0.samples_moved)
+    emit("global", "vectors_sent", 0)
 
     theta_sub = subsample_estimator(cluster, solver)
-    emitter.emit(n, k, trial, "subsample", "sq_error", _sq_error(theta_sub, theta_star))
-    emitter.emit(n, k, trial, "subsample", "vectors_sent", 0)
+    emit("subsample", "sq_error", _sq_error(theta_sub, theta_star))
+    emit("subsample", "vectors_sent", 0)
 
     ledger0 = cluster.ledger.copy()
     theta_avg = averaging_estimator(cluster, solver)
     averaging_cost = cluster.ledger.vectors_sent - ledger0.vectors_sent
-    emitter.emit(n, k, trial, "averaging", "sq_error", _sq_error(theta_avg, theta_star))
-    emitter.emit(n, k, trial, "averaging", "vectors_sent", averaging_cost)
+    emit("averaging", "sq_error", _sq_error(theta_avg, theta_star))
+    emit("averaging", "vectors_sent", averaging_cost)
 
     trajectory = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP,
                       settings=solver)
     per_round = trajectory.vectors_spent // max(1, trajectory.rounds)
     for t in range(1, trajectory.rounds + 1):
-        emitter.emit(n, k, trial, f"csl_{t}", "sq_error",
-                     _sq_error(trajectory.iterates[t], theta_star))
-        emitter.emit(n, k, trial, f"csl_{t}", "vectors_sent",
-                     averaging_cost + per_round * t)
-
-    emitter.emit(n, k, trial, "trial", "runtime_s", time.perf_counter() - start)
+        emit(f"csl_{t}", "sq_error", _sq_error(trajectory.iterates[t], theta_star))
+        emit(f"csl_{t}", "vectors_sent", averaging_cost + per_round * t)
 
 
-def _coverage_trial(config: ExperimentConfig, emitter: _Emitter, n: int, k: int,
-                    trial: int) -> None:
-    rng = derive_rng(config.seed, config.experiment, n, k, trial, "data")
-    pooled, theta_star = gen_logistic(config.d, n * k, rng)
-    cluster = Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, k)
+def _coverage_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
+                    trial: int, emit) -> None:
     solver = SolverSettings()
-    start = time.perf_counter()
-
     theta_avg = averaging_estimator(cluster, solver)
     center = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP,
                   settings=solver).final
-    emitter.emit(n, k, trial, "csl", "sq_error", _sq_error(center, theta_star))
+    emit("csl", "sq_error", _sq_error(center, theta_star))
 
     surr = build_surrogate(cluster, center)
     n_total = cluster.n_total
     ci_local = confidence_intervals(center, sigma_local(surr, center), n_total,
                                     level=config.level)
-    emitter.emit(n, k, trial, "csl", "covered_local",
-                 float(ci_local.covers(theta_star)[0]))
-    emitter.emit(n, k, trial, "csl", "halfwidth_local", ci_local.halfwidths[0])
+    emit("csl", "covered_local", float(ci_local.covers(theta_star)[0]))
+    emit("csl", "halfwidth_local", ci_local.halfwidths[0])
 
     ci_cross = confidence_intervals(center, sigma_cross(cluster, center), n_total,
                                     level=config.level)
-    emitter.emit(n, k, trial, "csl", "covered_cross",
-                 float(ci_cross.covers(theta_star)[0]))
-    emitter.emit(n, k, trial, "csl", "halfwidth_cross", ci_cross.halfwidths[0])
+    emit("csl", "covered_cross", float(ci_cross.covers(theta_star)[0]))
+    emit("csl", "halfwidth_cross", ci_cross.halfwidths[0])
 
-    emitter.emit(n, k, trial, "csl", "vectors_sent", cluster.ledger.vectors_sent)
-    emitter.emit(n, k, trial, "trial", "runtime_s", time.perf_counter() - start)
+    emit("csl", "vectors_sent", cluster.ledger.vectors_sent)
 
 
 def _refit_on_support(shard, theta: np.ndarray) -> np.ndarray:
@@ -294,13 +258,10 @@ def _refit_on_support(shard, theta: np.ndarray) -> np.ndarray:
     return refit
 
 
-def _lasso_trial(config: ExperimentConfig, emitter: _Emitter, n: int, k: int,
-                 trial: int) -> None:
-    rng = derive_rng(config.seed, config.experiment, n, k, trial, "data")
-    shards, theta_star = gen_sparse_linear(config.d, n, k, config.s, config.sigma, rng)
-    cluster = Cluster(LossModel.linear(), shards)
+def _lasso_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
+                 trial: int, emit) -> None:
     settings = L1Settings()
-    start = time.perf_counter()
+    n, k = cluster.n_per_shard, cluster.k
     # The generator's noise level is known here, so the penalty levels use it
     # directly, as the estimators' documented defaults would estimate it.
     sigma = config.sigma if config.sigma > 0.0 else 1e-3
@@ -311,10 +272,10 @@ def _lasso_trial(config: ExperimentConfig, emitter: _Emitter, n: int, k: int,
     lam_global = lambda_heuristic(sigma, config.d, n * k, scale=config.lam_scale)
 
     def emit_fit(label: str, fit, vectors: int) -> None:
-        emitter.emit(n, k, trial, label, "sq_error", _sq_error(fit.theta, theta_star))
-        emitter.emit(n, k, trial, label, "support_size", fit.sparsity)
-        emitter.emit(n, k, trial, label, "converged", float(fit.converged))
-        emitter.emit(n, k, trial, label, "vectors_sent", vectors)
+        emit(label, "sq_error", _sq_error(fit.theta, theta_star))
+        emit(label, "support_size", fit.sparsity)
+        emit(label, "converged", float(fit.converged))
+        emit(label, "vectors_sent", vectors)
 
     pooled = cluster.pooled_shard(meter=True)
     emit_fit("global_lasso", local_lasso(cluster.model, pooled, lam=lam_global,
@@ -335,28 +296,21 @@ def _lasso_trial(config: ExperimentConfig, emitter: _Emitter, n: int, k: int,
     emit_fit("averaging_lasso", avg_fit,
              cluster.ledger.vectors_sent - ledger0.vectors_sent)
 
-    emitter.emit(n, k, trial, "trial", "runtime_s", time.perf_counter() - start)
 
-
-def _bayes_trial(config: ExperimentConfig, emitter: _Emitter, n: int, k: int,
-                 trial: int) -> None:
-    rng = derive_rng(config.seed, config.experiment, n, k, trial, "data")
-    pooled, _ = gen_logistic(config.d, n * k, rng)
-    cluster = Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, k)
+def _bayes_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
+                 trial: int, emit) -> None:
     # Chain randomness is keyed on the trial but not on n, so the sweep reads
     # the same proposal streams at every n (a paired design): the Monte Carlo
     # noise of the distance estimate then cancels in across-n comparisons
     # instead of masking the trend. Data stays independent across cells.
-    seeds = derive_rng(config.seed, config.experiment, k, trial, "chains")
-    chain_seed = _chain_seed(seeds)
-    start = time.perf_counter()
+    seeds = derive_rng(config.seed, config.experiment, cluster.k, trial, "chains")
+    chain_seed = int(seeds.integers(0, 2 ** 63 - 1))
 
     result = run_csl_bayes(cluster, Prior.flat(),
                            McmcSettings(iters=config.mcmc_iters,
                                         seed=chain_seed))
-    emitter.emit(n, k, trial, "csl_bayes", "vectors_sent", result.vectors_spent)
-    emitter.emit(n, k, trial, "csl_bayes", "accept_rate",
-                 result.chain.acceptance_rate)
+    emit("csl_bayes", "vectors_sent", result.vectors_spent)
+    emit("csl_bayes", "accept_rate", result.chain.acceptance_rate)
 
     # Oracle chain on the pooled posterior: same start, step size and proposal
     # stream as the surrogate chain (common random numbers). Coupled chains
@@ -376,75 +330,102 @@ def _bayes_trial(config: ExperimentConfig, emitter: _Emitter, n: int, k: int,
     full_chain = metropolis(oracle_target, result.anchor,
                             result.chain.proposal_scale, config.mcmc_iters,
                             seed=chain_seed)
-    emitter.emit(n, k, trial, "full_bayes", "accept_rate",
-                 full_chain.acceptance_rate)
+    emit("full_bayes", "accept_rate", full_chain.acceptance_rate)
     for coord in range(config.d):
-        emitter.emit(n, k, trial, "csl_bayes", f"marginal_l1_{coord + 1}",
-                     marginal_l1(result.chain, full_chain, coordinate=coord,
-                                 bins=config.bins))
-    emitter.emit(n, k, trial, "trial", "runtime_s", time.perf_counter() - start)
+        emit("csl_bayes", f"marginal_l1_{coord + 1}",
+             marginal_l1(result.chain, full_chain, coordinate=coord, bins=config.bins))
+
+
+# Experiment -> (trial body, axis swept under a fixed n_total or None). A
+# fixed-total axis pairs each of its values v with n_total // v on the other
+# axis; otherwise the sweep is the full n-by-k grid.
+_DESIGNS = {
+    "MestSweepN": (_mest_trial, "n"),
+    "MestSweepK": (_mest_trial, None),
+    "Coverage": (_coverage_trial, None),
+    "LassoFixedN": (_lasso_trial, "k"),
+    "LassoFixedn": (_lasso_trial, None),
+    "Bayes": (_bayes_trial, None),
+}
 
 
 def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int]]:
     """(n, k) grid for the experiment, honoring the fixed-total variants."""
-    if config.experiment == "MestSweepN":
-        if config.n_total is None:
-            raise ConfigError("MestSweepN needs n_total")
-        points = []
-        for n in config.n_values:
-            if config.n_total % n != 0:
-                raise ConfigError(f"n_total={config.n_total} not divisible by n={n}")
-            points.append((n, config.n_total // n))
-        return points
-    if config.experiment == "LassoFixedN":
-        if config.n_total is None:
-            raise ConfigError("LassoFixedN needs n_total")
-        points = []
-        for k in config.k_values:
-            if config.n_total % k != 0:
-                raise ConfigError(f"n_total={config.n_total} not divisible by k={k}")
-            points.append((config.n_total // k, k))
-        return points
-    if config.experiment in ("LassoFixedn", "Bayes", "Coverage", "MestSweepK"):
+    axis = _DESIGNS[config.experiment][1]
+    if axis is None:
         return [(n, k) for n in config.n_values for k in config.k_values]
-    raise ConfigError(f"unhandled experiment {config.experiment!r}")
+    if config.n_total is None:
+        raise ConfigError(f"{config.experiment} needs n_total")
+    points = []
+    for value in (config.n_values if axis == "n" else config.k_values):
+        if config.n_total % value != 0:
+            raise ConfigError(f"n_total={config.n_total} not divisible by {axis}={value}")
+        other = config.n_total // value
+        points.append((value, other) if axis == "n" else (other, value))
+    return points
 
 
-_TRIAL_RUNNERS = {
-    "MestSweepN": _mest_trial,
-    "MestSweepK": _mest_trial,
-    "Coverage": _coverage_trial,
-    "LassoFixedN": _lasso_trial,
-    "LassoFixedn": _lasso_trial,
-    "Bayes": _bayes_trial,
-}
+def _trial_rows(config: ExperimentConfig, body, n: int, k: int,
+                trial: int) -> list[list]:
+    """Run one trial and return its rows in emit order, or only its
+    ``error_flag`` row when any step raises a CslError.
+
+    The prologue derives the trial's data stream, generates sparse linear
+    shards for the lasso designs and logistic data otherwise, builds the
+    cluster and starts the timer; ``body(config, cluster, theta_star, trial,
+    emit)`` then emits through ``emit(estimator, metric, value)``.
+    """
+    rows: list[list] = []
+
+    def emit(estimator: str, metric: str, value) -> None:
+        value = float(value)
+        if not math.isfinite(value):
+            raise CslError(f"non-finite value for metric {metric!r}")
+        rows.append([config.experiment, config.d, n, k, trial, estimator, metric,
+                     repr(value)])
+
+    try:
+        rng = derive_rng(config.seed, config.experiment, n, k, trial, "data")
+        if config.experiment.startswith("Lasso"):
+            shards, theta_star = gen_sparse_linear(config.d, n, k, config.s,
+                                                   config.sigma, rng)
+            cluster = Cluster(LossModel.linear(), shards)
+        else:
+            pooled, theta_star = gen_logistic(config.d, n * k, rng)
+            cluster = Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, k)
+        start = time.perf_counter()
+        body(config, cluster, theta_star, trial, emit)
+        emit("trial", "runtime_s", time.perf_counter() - start)
+    except CslError:
+        rows.clear()
+        emit("trial", "error_flag", 1.0)
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run every (sweep point, trial) cell and write the results CSV.
 
-    A failing trial leaves an ``error_flag`` row instead of aborting the run;
-    the returned RunResult counts those flags so callers can report partial
-    failure.
+    A failing trial leaves only an ``error_flag`` row instead of aborting the
+    run; the returned RunResult counts those flags so callers can report
+    partial failure.
     """
-    runner = _TRIAL_RUNNERS[config.experiment]
+    body = _DESIGNS[config.experiment][0]
     points = _sweep_points(config)
     path = config.out_path
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
-    emitter = _Emitter(path, config)
-    try:
+    rows_written = error_flags = 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULTS_HEADER)
         for n, k in points:
             for trial in range(1, config.trials + 1):
-                try:
-                    runner(config, emitter, n, k, trial)
-                except CslError:
-                    emitter.emit(n, k, trial, "trial", "error_flag", 1.0)
-                emitter.flush()
-    finally:
-        emitter.close()
-    return RunResult(path=path, rows_written=emitter.rows_written,
-                     error_flags=emitter.error_flags)
+                rows = _trial_rows(config, body, n, k, trial)
+                writer.writerows(rows)
+                fh.flush()
+                rows_written += len(rows)
+                error_flags += sum(row[6] == "error_flag" for row in rows)
+    return RunResult(path=path, rows_written=rows_written, error_flags=error_flags)
 
 
 def _read_rows(path) -> list[dict[str, str]]:

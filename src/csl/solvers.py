@@ -44,8 +44,9 @@ class SolverSettings:
     def __post_init__(self):
         if not (0.0 < self.grad_tol):
             raise DataError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise DataError("max_iters must be >= 1")
+        # The local-min request carries max_iters as an unsigned 32-bit field.
+        if not (1 <= self.max_iters < 2 ** 32):
+            raise DataError("max_iters must be in [1, 2**32)")
         if not (0.0 < self.backtrack_shrink < 1.0):
             raise DataError("backtrack_shrink must be in (0, 1)")
         if not (0.0 < self.armijo_c < 0.5):

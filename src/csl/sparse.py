@@ -1,7 +1,11 @@
 """L1-regularized estimation: FISTA, the surrogate lasso, and baselines.
 
-The proximal solver works on any smooth value+gradient callable, so the same
-code fits a local shard lasso, the pooled lasso, and the surrogate lasso. The
+The proximal solver takes the smooth part in the package's objective
+convention, ``objective(theta, order)`` returning ``(value,)`` for order 0 and
+``(value, gradient)`` for order 1 (see :mod:`csl.solvers`), so the same code
+fits a local shard lasso, the pooled lasso, and the surrogate lasso. It asks
+for order 0 at the start, at every backtracking probe and at the end, and for
+order 1 once per iteration plus once per stationarity check. The
 communication-efficient path pays one gradient round to build the surrogate
 and then solves entirely on the host shard.
 """
@@ -10,22 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from .cluster import Cluster
 from .errors import DataError, NonConvergenceError
 from .losses import DataShard, LossModel, ShardLoss
-from .surrogate import build_surrogate, surrogate_value_gradient
+from .solvers import Objective
+from .surrogate import build_surrogate, surrogate_eval
 
 __all__ = [
     "L1Settings", "SparseEstimate", "soft_threshold", "fista_l1",
     "lambda_heuristic", "estimate_noise_sd", "local_lasso",
     "csl_lasso", "iterative_csl_lasso", "averaging_lasso",
 ]
-
-ValueGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 # Coordinates below this magnitude in a solution are snapped to exact zero.
 _SNAP = 1e-12
@@ -83,7 +87,7 @@ def _stationarity_ok(grad: np.ndarray, theta: np.ndarray, lam: float,
     return not np.any(np.abs(grad[~on]) > lam + slack)
 
 
-def fista_l1(value_grad: ValueGrad, lam: float, theta0: np.ndarray,
+def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
              settings: L1Settings = L1Settings()) -> SparseEstimate:
     """Minimize ``f(theta) + lam * ||theta||_1`` by accelerated proximal descent.
 
@@ -96,7 +100,7 @@ def fista_l1(value_grad: ValueGrad, lam: float, theta0: np.ndarray,
     if lam < 0.0:
         raise DataError("lam must be >= 0")
     x = np.array(theta0, dtype=np.float64)
-    fx, _ = value_grad(x)
+    fx = objective(x, 0)[0]
     comp_x = fx + lam * float(np.abs(x).sum())
     if not np.isfinite(comp_x):
         raise DataError("objective is not finite at theta0")
@@ -106,11 +110,11 @@ def fista_l1(value_grad: ValueGrad, lam: float, theta0: np.ndarray,
     iterations = 0
     converged = False
     for iterations in range(1, settings.max_iters + 1):
-        fz, gz = value_grad(z)
+        fz, gz = objective(z, 1)
         while True:
             step = 1.0 / lipschitz
             u = soft_threshold(z - step * gz, lam * step)
-            fu = value_grad(u)[0]
+            fu = objective(u, 0)[0]
             du = u - z
             bound = fz + float(gz @ du) + 0.5 * lipschitz * float(du @ du)
             if settings.step_size is not None:
@@ -135,12 +139,11 @@ def fista_l1(value_grad: ValueGrad, lam: float, theta0: np.ndarray,
             momentum = 1.0
             comp_prev = comp_x
         if abs(comp_prev - comp_x) < settings.tol:
-            _, gx = value_grad(x)
-            if _stationarity_ok(gx, x, lam, 10.0 * settings.tol):
+            if _stationarity_ok(objective(x, 1)[1], x, lam, 10.0 * settings.tol):
                 converged = True
                 break
     x[np.abs(x) < _SNAP] = 0.0
-    fx, _ = value_grad(x)
+    fx = objective(x, 0)[0]
     return SparseEstimate(theta=x, support=np.flatnonzero(x),
                           objective_value=fx + lam * float(np.abs(x).sum()),
                           iterations=iterations, converged=converged)
@@ -175,18 +178,14 @@ def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
     settles within a few passes as residuals approach the noise floor.
     """
     loss = ShardLoss(model, shard)
-
-    def value_grad(theta):
-        return loss.eval(theta, 1)
-
     if lam is not None:
-        return fista_l1(value_grad, lam, np.zeros(shard.n_features), settings)
+        return fista_l1(loss.eval, lam, np.zeros(shard.n_features), settings)
     theta = np.zeros(shard.n_features)
     estimate = None
     for _ in range(max(1, refit_passes)):
         sigma_hat = _noise_sd(loss, theta)
         lam_pass = lambda_heuristic(sigma_hat, shard.n_features, shard.n_samples)
-        estimate = fista_l1(value_grad, lam_pass, theta, settings)
+        estimate = fista_l1(loss.eval, lam_pass, theta, settings)
         theta = estimate.theta
     return estimate
 
@@ -209,11 +208,7 @@ def csl_lasso(cluster: Cluster, anchor: np.ndarray | None = None,
         sigma_hat = _noise_sd(cluster.losses[host - 1], anchor)
         lam = lambda_heuristic(sigma_hat, cluster.d, cluster.n_total)
     surr = build_surrogate(cluster, anchor, host=host)
-
-    def value_grad(theta):
-        return surrogate_value_gradient(surr, theta)
-
-    return fista_l1(value_grad, lam, anchor.copy(), settings)
+    return fista_l1(partial(surrogate_eval, surr), lam, anchor.copy(), settings)
 
 
 def iterative_csl_lasso(cluster: Cluster, rounds: int,
@@ -246,17 +241,14 @@ def averaging_lasso(cluster: Cluster, lam: float | None = None,
                     settings: L1Settings = L1Settings()) -> SparseEstimate:
     """Mean of the k local penalized fits, folded in worker order.
 
-    Ledgered like a local-minimizer round (k-1 reply vectors); the fits
-    themselves run on the retained shard copies. The reported objective is
-    the mean of the local composite objectives, since an average of
-    minimizers minimizes no single program. Near-zero coordinates of the
-    average are snapped so the support is well defined.
+    One local-fit round (k-1 reply vectors); the fits themselves run on the
+    retained shard copies. The reported objective is the mean of the
+    local composite objectives, since an average of minimizers minimizes no
+    single program. Near-zero coordinates of the average are snapped so the
+    support is well defined.
     """
-    fits = [local_lasso(cluster.model, shard, lam=lam, settings=settings)
-            for shard in cluster.shards]
-    if cluster.k > 1:
-        cluster.ledger.vectors_sent += cluster.k - 1
-        cluster.ledger.rounds += 1
+    fits = cluster.local_fit_round(
+        lambda loss: local_lasso(loss.model, loss.shard, lam=lam, settings=settings))
     acc = np.zeros(cluster.d)
     for fit in fits:
         acc += fit.theta

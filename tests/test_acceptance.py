@@ -262,11 +262,8 @@ def test_criterion_09_oracle_equivalences(capfd):
 
         loss = ShardLoss(LossModel.linear(), shard)
 
-        def value_grad(theta):
-            return loss.eval(theta, 1)
-
         for lam in (0.05, 0.4, 1.5):
-            fit = fista_l1(value_grad, lam, np.zeros(3), L1Settings(tol=1e-12))
+            fit = fista_l1(loss.eval, lam, np.zeros(3), L1Settings(tol=1e-12))
             exact, _ = enumerate_lasso_d3(x, y, lam)
             assert float(np.max(np.abs(fit.theta - exact))) < 1e-6
 

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from csl.cli import _config_to_mapping, main
-from csl.experiments import config_from_mapping, desk_presets, paper_presets, results_hash
+from csl.cli import main
+from csl.experiments import (config_from_mapping, config_to_mapping, desk_presets,
+                             paper_presets, results_hash)
 
 
 def run_cli(*argv):
@@ -104,11 +105,11 @@ class TestRun:
         import csl.experiments as experiments
         from csl.errors import CslError
 
-        def always_fails(config, emitter, n, k, trial):
+        def always_fails(config, cluster, theta_star, trial, emit):
             raise CslError("boom")
 
-        monkeypatch.setitem(experiments._TRIAL_RUNNERS, "MestSweepK",
-                            always_fails)
+        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK",
+                            (always_fails, None))
         code = run_cli("run", "--preset", "sweep_k_desk", "trials=1", "k=2",
                        "n=32", "d=2", "--out", str(tmp_path / "f.csv"))
         assert code == 3
@@ -118,7 +119,7 @@ class TestRun:
 @pytest.mark.parametrize("name", sorted({**desk_presets(), **paper_presets()}))
 def test_every_preset_round_trips_through_the_cli_mapping(name):
     preset = {**desk_presets(), **paper_presets()}[name]
-    assert config_from_mapping(_config_to_mapping(preset)) == preset
+    assert config_from_mapping(config_to_mapping(preset)) == preset
 
 
 class TestReport:

@@ -68,6 +68,16 @@ class TestLedger:
         assert cluster.ledger.vectors_sent == 3
         assert cluster.ledger.rounds == 1
 
+    def test_local_fit_round_maps_shards_in_worker_order(self):
+        cluster = make_cluster(4)
+        seen = cluster.local_fit_round(lambda loss: loss.shard)
+        assert all(a is b for a, b in zip(seen, cluster.shards))
+        assert len(seen) == 4
+        assert cluster.ledger == CommLedger(3, 1, 0)
+        single = make_cluster(1)
+        single.local_fit_round(lambda loss: loss.shard)
+        assert single.ledger == CommLedger(0, 0, 0)
+
     def test_pooling_moves_samples_not_vectors(self):
         cluster = make_cluster(4, n=32)
         pooled = cluster.pooled_shard()

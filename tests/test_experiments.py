@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import statistics
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import csl.experiments as experiments
 from csl.errors import ConfigError, CslError
 from csl.experiments import (EXPERIMENTS, RESULTS_HEADER, ExperimentConfig,
-                             config_from_mapping, desk_presets, paper_presets,
+                             config_from_mapping, config_to_mapping,
+                             desk_presets, paper_presets,
                              parse_config_text, report, results_hash,
                              run_experiment)
 
@@ -88,6 +90,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_mapping(as_mapping(experiment="LassoFixedn", d=3, n=[32],
                                      s=10))
+
+    def test_every_field_round_trips_through_the_mapping(self):
+        config = ExperimentConfig(
+            experiment="LassoFixedN", d=20, n_values=(8, 16), k_values=(2, 3),
+            n_total=96, trials=3, seed=7, out="elsewhere.csv", level=0.9,
+            rounds=2, mcmc_iters=50, bins=5, s=4, sigma=0.5, lam_scale=2.5)
+        defaults = ExperimentConfig(experiment="LassoFixedN", d=20, n_values=(8,))
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name not in ("experiment", "d", "n_values"):
+                assert getattr(config, f.name) != getattr(defaults, f.name), f.name
+        mapping = config_to_mapping(config)
+        assert set(mapping) == {"experiment", "d", "n", "k", "n_total", "trials",
+                                "seed", "out", "level", "rounds", "mcmc_iters",
+                                "bins", "s", "sigma", "lam_scale"}
+        assert config_from_mapping(mapping) == config
+
+    def test_values_parse_by_field_type(self):
+        with pytest.raises(ConfigError, match="bad config value"):
+            config_from_mapping(as_mapping(experiment="Bayes", d=2, n=[8],
+                                           trials="2.5"))
+        config = config_from_mapping(as_mapping(experiment="Bayes", d=2, n=[8],
+                                                sigma="3", out="7"))
+        assert config.sigma == 3.0 and isinstance(config.sigma, float)
+        assert config.out == "7"
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -180,13 +206,13 @@ class TestFailureHandling:
         calls = {"count": 0}
         real = experiments._mest_trial
 
-        def flaky(config, emitter, n, k, trial):
+        def flaky(config, cluster, theta_star, trial, emit):
             calls["count"] += 1
             if trial == 1:
                 raise CslError("synthetic failure")
-            return real(config, emitter, n, k, trial)
+            return real(config, cluster, theta_star, trial, emit)
 
-        monkeypatch.setitem(experiments._TRIAL_RUNNERS, "MestSweepK", flaky)
+        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (flaky, None))
         config = tiny_mest_config(tmp_path, k=[2])
         result = run_experiment(config)
         assert calls["count"] == 2
@@ -197,6 +223,37 @@ class TestFailureHandling:
         assert flagged[0]["trial"] == "1"
         assert any(r["trial"] == "2" and r["metric"] == "sq_error"
                    for r in rows)
+
+
+    def test_failed_trial_leaves_only_its_flag(self, tmp_path, monkeypatch):
+        real = experiments._mest_trial
+
+        def half_done(config, cluster, theta_star, trial, emit):
+            if trial == 1:
+                emit("global", "sq_error", 1.0)
+                raise CslError("failure after a row")
+            return real(config, cluster, theta_star, trial, emit)
+
+        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (half_done, None))
+        result = run_experiment(tiny_mest_config(tmp_path, k=[2]))
+        rows = read_rows(result.path)
+        first = [r for r in rows if r["trial"] == "1"]
+        assert [(r["estimator"], r["metric"], r["value"]) for r in first] == [
+            ("trial", "error_flag", "1.0")]
+        assert result.error_flags == 1
+        assert result.rows_written == len(rows)
+        assert len(rows) > 1
+
+    def test_non_finite_value_flags_the_trial(self, tmp_path, monkeypatch):
+        def emits_nan(config, cluster, theta_star, trial, emit):
+            emit("global", "vectors_sent", 0)
+            emit("global", "sq_error", float("nan"))
+
+        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (emits_nan, None))
+        result = run_experiment(tiny_mest_config(tmp_path, k=[2]))
+        rows = read_rows(result.path)
+        assert [r["metric"] for r in rows] == ["error_flag", "error_flag"]
+        assert result.error_flags == 2
 
 
 class TestHashAndReport:

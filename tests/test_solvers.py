@@ -147,6 +147,13 @@ class TestSettingsValidation:
         with pytest.raises(DataError):
             SolverSettings(armijo_c=0.7)
 
+    def test_max_iters_bounded_by_the_wire_field(self):
+        with pytest.raises(DataError):
+            SolverSettings(max_iters=0)
+        with pytest.raises(DataError):
+            SolverSettings(max_iters=2 ** 32)
+        assert SolverSettings(max_iters=2 ** 32 - 1).max_iters == 2 ** 32 - 1
+
     def test_rejects_nonvector_start(self):
         with pytest.raises(DataError):
             newton_minimize(quadratic_objective(np.ones(2)), np.zeros((2, 2)))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,8 @@ from csl.sparse import (L1Settings, averaging_lasso, csl_lasso,
 from conftest import enumerate_lasso_d3
 
 
-def shard_value_grad(model, shard):
-    loss = ShardLoss(model, shard)
-
-    def value_grad(theta):
-        return loss.eval(theta, 1)
-    return value_grad
+def shard_objective(model, shard):
+    return ShardLoss(model, shard).eval
 
 
 def small_design(seed=3, n=30, d=3):
@@ -42,7 +40,7 @@ class TestSoftThreshold:
 class TestFista:
     def test_unpenalized_limit_is_least_squares(self):
         shard, _ = small_design()
-        fit = fista_l1(shard_value_grad(LossModel.linear(), shard), 0.0,
+        fit = fista_l1(shard_objective(LossModel.linear(), shard), 0.0,
                        np.zeros(3), L1Settings(tol=1e-12))
         want, *_ = np.linalg.lstsq(shard.x, shard.y, rcond=None)
         np.testing.assert_allclose(fit.theta, want, atol=1e-6)
@@ -50,7 +48,7 @@ class TestFista:
     def test_matches_sign_pattern_enumeration(self):
         shard, _ = small_design()
         for lam in (0.05, 0.3, 1.0, 3.0):
-            fit = fista_l1(shard_value_grad(LossModel.linear(), shard), lam,
+            fit = fista_l1(shard_objective(LossModel.linear(), shard), lam,
                            np.zeros(3), L1Settings(tol=1e-12))
             theta_exact, obj_exact = enumerate_lasso_d3(shard.x, shard.y, lam)
             np.testing.assert_allclose(fit.theta, theta_exact, atol=1e-6)
@@ -59,7 +57,7 @@ class TestFista:
     def test_certificate_holds_at_the_solution(self):
         shard, _ = small_design(seed=5)
         lam = 0.4
-        fit = fista_l1(shard_value_grad(LossModel.linear(), shard), lam,
+        fit = fista_l1(shard_objective(LossModel.linear(), shard), lam,
                        np.zeros(3), L1Settings(tol=1e-10))
         _, grad = ShardLoss(LossModel.linear(), shard).eval(fit.theta, 1)
         slack = 1e-6
@@ -72,12 +70,12 @@ class TestFista:
     def test_accepted_objectives_never_increase(self):
         shard, _ = small_design(seed=7)
         seen = []
-        base = shard_value_grad(LossModel.linear(), shard)
+        base = shard_objective(LossModel.linear(), shard)
 
-        def spying(theta):
-            value, grad = base(theta)
-            seen.append((theta.copy(), value))
-            return value, grad
+        def spying(theta, order):
+            out = base(theta, order)
+            seen.append((theta.copy(), out[0]))
+            return out
 
         lam = 0.2
         fit = fista_l1(spying, lam, np.zeros(3), L1Settings(tol=1e-10))
@@ -89,14 +87,14 @@ class TestFista:
 
     def test_huge_penalty_returns_exact_zero(self):
         shard, _ = small_design(seed=9)
-        fit = fista_l1(shard_value_grad(LossModel.linear(), shard), 1e6,
+        fit = fista_l1(shard_objective(LossModel.linear(), shard), 1e6,
                        np.full(3, 0.5), L1Settings())
         np.testing.assert_array_equal(fit.theta, np.zeros(3))
         assert fit.support.size == 0
 
     def test_near_zero_coordinates_are_snapped(self):
         shard, _ = small_design(seed=11)
-        fit = fista_l1(shard_value_grad(LossModel.linear(), shard), 0.9,
+        fit = fista_l1(shard_objective(LossModel.linear(), shard), 0.9,
                        np.zeros(3), L1Settings(tol=1e-12))
         on = fit.theta != 0.0
         assert np.all(np.abs(fit.theta[on]) > 1e-12)
@@ -105,10 +103,35 @@ class TestFista:
     def test_fixed_step_size_honored(self):
         shard, _ = small_design(seed=13)
         settings = L1Settings(step_size=1e-3, tol=1e-10, max_iters=20_000)
-        fit = fista_l1(shard_value_grad(LossModel.linear(), shard), 0.3,
+        fit = fista_l1(shard_objective(LossModel.linear(), shard), 0.3,
                        np.zeros(3), settings)
         theta_exact, _ = enumerate_lasso_d3(shard.x, shard.y, 0.3)
         np.testing.assert_allclose(fit.theta, theta_exact, atol=1e-5)
+
+    def test_probes_ask_for_values_and_iterations_for_one_gradient(self):
+        shard, _ = small_design(seed=7)
+        base = shard_objective(LossModel.linear(), shard)
+        calls = []
+
+        def counting(theta, order):
+            calls.append(order)
+            return base(theta, order)
+
+        # start far out so that some steps backtrack
+        fit = fista_l1(counting, 0.2, np.full(3, 8.0), L1Settings(tol=1e-10))
+        assert set(calls) == {0, 1}
+        # start value, then per iteration one gradient at the extrapolated
+        # point, one or more value-only probes and an optional stationarity
+        # check, then the final value
+        orders = "".join(str(order) for order in calls)
+        assert re.fullmatch(r"0(?:10+1?)*0", orders)
+        middle = orders[1:-1]
+        assert middle.count("10") == fit.iterations
+        # a check is a gradient not followed by a probe; the last one passed
+        assert fit.converged and middle.endswith("1")
+        checks = middle.count("11") + 1
+        assert calls.count(1) == fit.iterations + checks
+        assert calls.count(0) > fit.iterations + 2  # some probe was rejected
 
     def test_settings_validated(self):
         with pytest.raises(DataError):

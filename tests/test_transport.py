@@ -163,6 +163,16 @@ class TestTcpCluster:
         for a, b in zip(fits_tcp, fits_plain):
             np.testing.assert_array_equal(a, b)
 
+    def test_largest_max_iters_travels(self):
+        pooled, _ = gen_logistic(3, 300, 4)
+        widest = SolverSettings(max_iters=2 ** 32 - 1)
+        with Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
+                                 transport="tcp") as over_tcp:
+            fits_tcp = over_tcp.local_minimizer_round(widest)
+        plain = Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3)
+        for a, b in zip(fits_tcp, plain.local_minimizer_round(widest)):
+            np.testing.assert_array_equal(a, b)
+
     def test_failed_connect_shuts_down_earlier_workers(self):
         pooled, _ = gen_logistic(2, 30, 3)
         good = WorkerServer(LossModel.logistic()).start()

@@ -14,7 +14,9 @@ separately in ``samples_moved`` rather than being converted into vectors.
 
 Transport is "in_process" (default) or "tcp", in which case workers 2..k are
 :class:`~csl.transport.WorkerServer` processes reached through the frame
-protocol. Shard contents are retained locally in both modes so that
+protocol; each shard is placed on its worker once, as a raw float64 frame like
+every vector, and a failed round still reads every reply, so the next round
+starts in step. Shard contents are retained locally in both modes so that
 surrogate construction can evaluate local losses at the coordinator; each
 retained shard is bound to one :class:`~csl.losses.ShardLoss` evaluator.
 """
@@ -87,11 +89,9 @@ class Cluster:
         self.ledger = CommLedger()
         self._clients: list[WorkerClient] = []
         self._owned_servers: list[WorkerServer] = []
-        if transport == "in_process":
-            pass
-        elif transport == "tcp":
+        if transport == "tcp":
             self._connect_workers(addresses)
-        else:
+        elif transport != "in_process":
             raise ConfigError(f"unknown transport {transport!r}; "
                               "use 'in_process' or 'tcp'")
         self.transport = transport
@@ -138,19 +138,32 @@ class Cluster:
     def n_total(self) -> int:
         return self.n_per_shard * self.k
 
-    def _gather_gradients(self, theta: np.ndarray) -> list[np.ndarray]:
-        """Local gradients in worker order; no ledger activity here."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if not np.all(np.isfinite(theta)):
-            raise DataError("theta contains non-finite entries")
-        for client in self._clients:
-            client.send_gradient_request(theta)
-        grads = [self.losses[0].gradient(theta)]
-        if self._clients:
-            grads.extend(client.recv_gradient() for client in self._clients)
-        else:
-            grads.extend(loss.gradient(theta) for loss in self.losses[1:])
-        return grads
+    def _exchange(self, send: Callable[[WorkerClient], None],
+                  own: Callable[[], np.ndarray],
+                  recv: Callable[[WorkerClient], np.ndarray]) -> list[np.ndarray]:
+        """Send every worker its request, compute the coordinator's share, then
+        read every reply, in worker order. A failure anywhere is re-raised,
+        the first in worker order, only once every sent request has had its
+        reply read, so the next round finds no stale frame."""
+        results: list = [None] * self.k
+        failures: list[Exception | None] = [None] * self.k
+
+        def attempt(j: int, step: Callable, *args) -> None:
+            try:
+                results[j] = step(*args)
+            except Exception as exc:  # re-raised below, after the replies
+                failures[j] = exc
+
+        for j, client in enumerate(self._clients, 1):
+            attempt(j, send, client)
+        attempt(0, own)
+        for j, client in enumerate(self._clients, 1):
+            if failures[j] is None:
+                attempt(j, recv, client)
+        for exc in failures:
+            if exc is not None:
+                raise exc
+        return results
 
     def _meter(self, vectors: int) -> None:
         if self.k > 1:
@@ -162,19 +175,18 @@ class Cluster:
 
         Returns (global gradient, local gradients). Costs 2*(k-1) vectors.
         """
-        locals_ = self._gather_gradients(theta)
+        theta = self.losses[0].check_theta(theta)  # before any request goes out
+        if self._clients:
+            locals_ = self._exchange(lambda client: client.send_gradient_request(theta),
+                                     lambda: self.losses[0].gradient(theta),
+                                     WorkerClient.recv_gradient)
+        else:
+            locals_ = [loss.gradient(theta) for loss in self.losses]
         self._meter(2 * (self.k - 1))
         acc = np.zeros(self.d)
         for g in locals_:
             acc += g
         return acc / self.k, locals_
-
-    def gradient_vectors_at(self, theta: np.ndarray) -> list[np.ndarray]:
-        """The k local gradients at theta, unaveraged; ledgered as one
-        gradient round (2*(k-1) vectors)."""
-        locals_ = self._gather_gradients(theta)
-        self._meter(2 * (self.k - 1))
-        return locals_
 
     def local_minimizer_round(self, settings: SolverSettings = SolverSettings()
                               ) -> list[np.ndarray]:
@@ -190,10 +202,8 @@ class Cluster:
 
         if not self._clients:
             return self.local_fit_round(fit)
-        for client in self._clients:
-            client.send_local_min_request(settings)
-        fits = [fit(self.losses[0])]
-        fits.extend(client.recv_local_min() for client in self._clients)
+        fits = self._exchange(lambda client: client.send_local_min_request(settings),
+                              lambda: fit(self.losses[0]), WorkerClient.recv_local_min)
         self._meter(self.k - 1)
         return fits
 

@@ -86,7 +86,7 @@ def sigma_cross(cluster: Cluster, theta: np.ndarray, host: int = 1) -> np.ndarra
         warnings.warn(f"sigma_cross with k={cluster.k} machines averages only "
                       f"{cluster.k} gradient outer products; estimates will be "
                       "noisy below k=10", UserWarning, stacklevel=2)
-    local_grads = cluster.gradient_vectors_at(theta)
+    local_grads = cluster.gradient_round(theta)[1]
     n, k = cluster.n_per_shard, cluster.k
     middle = np.zeros((cluster.d, cluster.d))
     for g in local_grads:

@@ -10,7 +10,6 @@ evaluations are plain numpy; nothing here talks to the cluster or the ledger.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,7 +25,6 @@ __all__ = [
     "POISSON_LINK",
     "ShardLoss",
     "shard_to_csv",
-    "shard_from_csv",
     "sigmoid",
     "softplus",
 ]
@@ -176,14 +174,18 @@ class ShardLoss:
         self.model = model
         self.shard = shard
 
-    def _predict(self, theta: np.ndarray) -> np.ndarray:
+    def check_theta(self, theta: np.ndarray) -> np.ndarray:
+        """theta as a float64 array of shape (d,) with finite entries."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.shard.n_features,):
             raise DataError(
                 f"theta has shape {theta.shape}; shard has {self.shard.n_features} features")
         if not np.all(np.isfinite(theta)):
             raise DataError("theta contains non-finite entries")
-        return self.shard.x @ theta
+        return theta
+
+    def _predict(self, theta: np.ndarray) -> np.ndarray:
+        return self.shard.x @ self.check_theta(theta)
 
     def _mean(self, u: np.ndarray) -> np.ndarray:
         link = self.model.link
@@ -242,32 +244,7 @@ class ShardLoss:
 def shard_to_csv(shard: DataShard) -> str:
     """Serialize a shard as CSV text: header ``y,x_1..x_d``, shortest
     round-trip decimal literals, one sample per row."""
-    d = shard.n_features
-    buf = io.StringIO()
-    buf.write("y," + ",".join(f"x_{j + 1}" for j in range(d)) + "\n")
-    for i in range(shard.n_samples):
-        row = [repr(float(shard.y[i]))]
-        row.extend(repr(float(v)) for v in shard.x[i])
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def shard_from_csv(text: str) -> DataShard:
-    """Parse :func:`shard_to_csv` output; exact inverse for finite float64 data."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if len(lines) < 2:
-        raise DataError("shard CSV needs a header and at least one data row")
-    header = lines[0].split(",")
-    if header[0] != "y" or len(header) < 2:
-        raise DataError(f"unexpected shard CSV header: {lines[0]!r}")
-    d = len(header) - 1
-    n = len(lines) - 1
-    y = np.empty(n)
-    x = np.empty((n, d))
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != d + 1:
-            raise DataError(f"row {i + 1} has {len(parts)} fields, expected {d + 1}")
-        y[i] = float(parts[0])
-        x[i] = [float(p) for p in parts[1:]]
-    return DataShard(x=x, y=y)
+    header = "y," + ",".join(f"x_{j + 1}" for j in range(shard.n_features))
+    rows = (",".join(map(repr, [yi, *xi]))
+            for yi, xi in zip(shard.y.tolist(), shard.x.tolist()))
+    return "\n".join([header, *rows]) + "\n"

@@ -1,14 +1,17 @@
 """Socket transport for remote workers.
 
 Wire format, little-endian throughout: each frame is a 1-byte opcode, a 4-byte
-unsigned payload length, then the payload. Parameter vectors travel as raw
-float64 bytes; shards travel as CSV text (see losses.shard_to_csv), which
-round-trips float64 exactly. A local-min request carries the four
-SolverSettings fields packed as ``<dIdd``.
+unsigned payload length, then the payload. Data travel in one encoding, raw
+``<f8`` bytes from one encoder: a parameter vector as its d floats, and a shard
+as its shape ``<II`` (n, d) followed by y and then x row by row, which
+round-trips float64 exactly. A reply vector must hold exactly the d floats of
+the loaded shard. A local-min request carries the four SolverSettings fields
+packed as ``<dIdd``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import struct
 import threading
@@ -16,7 +19,7 @@ import threading
 import numpy as np
 
 from .errors import CslError, WorkerError
-from .losses import DataShard, LossModel, ShardLoss, shard_from_csv, shard_to_csv
+from .losses import DataShard, LossModel, ShardLoss
 from .solvers import SolverSettings, newton_minimize
 
 __all__ = [
@@ -34,6 +37,7 @@ OP_SHUTDOWN = 0x06
 OP_ERROR = 0x7F
 
 _HEADER = struct.Struct("<BI")
+_SHAPE = struct.Struct("<II")  # n, d of a shard payload
 # grad_tol, max_iters, backtrack_shrink, armijo_c
 _SETTINGS = struct.Struct("<dIdd")
 _MAX_PAYLOAD = 1 << 31  # sanity bound, far above anything this package sends
@@ -78,6 +82,19 @@ def _decode_vector(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").copy()
 
 
+def _decode_shard(payload: bytes) -> DataShard:
+    """Inverse of the :meth:`WorkerClient.load_shard` payload."""
+    if len(payload) < _SHAPE.size:
+        raise CslError(f"shard payload of {len(payload)} bytes is shorter than "
+                       f"its {_SHAPE.size}-byte shape")
+    n, d = _SHAPE.unpack_from(payload)
+    if len(payload) != _SHAPE.size + 8 * n * (d + 1):
+        raise CslError(f"shard payload of {len(payload)} bytes does not hold "
+                       f"n={n} rows of d={d} features and a response")
+    values = _decode_vector(memoryview(payload)[_SHAPE.size:])
+    return DataShard(x=values[n:].reshape(n, d), y=values[:n])
+
+
 class WorkerServer:
     """One remote worker: holds a shard, serves gradient and local-fit requests.
 
@@ -96,8 +113,7 @@ class WorkerServer:
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._listener.getsockname()[:2]
-        return host, port
+        return self._listener.getsockname()[:2]
 
     def start(self) -> "WorkerServer":
         """Serve on a daemon thread; returns self for chaining."""
@@ -132,10 +148,8 @@ class WorkerServer:
             try:
                 reply = self._handle(opcode, payload)
             except Exception as exc:  # any failure becomes an error frame
-                try:
+                with contextlib.suppress(OSError):
                     conn.sendall(pack_frame(OP_ERROR, str(exc).encode("utf-8")))
-                except OSError:
-                    pass
                 return
             if reply is not None:
                 conn.sendall(reply)
@@ -144,27 +158,25 @@ class WorkerServer:
                 return
 
     def _handle(self, opcode: int, payload: bytes) -> bytes | None:
-        if opcode not in (OP_LOAD_SHARD, OP_SHUTDOWN, OP_EVAL_GRAD, OP_LOCAL_MIN_REQ):
-            raise CslError(f"unknown opcode 0x{opcode:02x}")
         if opcode == OP_LOAD_SHARD:
-            self._loss = ShardLoss(self.model, shard_from_csv(payload.decode("utf-8")))
+            self._loss = ShardLoss(self.model, _decode_shard(payload))
             return None
         if opcode == OP_SHUTDOWN:
             return None
+        if opcode not in (OP_EVAL_GRAD, OP_LOCAL_MIN_REQ):
+            raise CslError(f"unknown opcode 0x{opcode:02x}")
         if self._loss is None:
             raise CslError("no shard loaded")
         if opcode == OP_EVAL_GRAD:
             grad = self._loss.gradient(_decode_vector(payload))
             return pack_frame(OP_GRAD_REPLY, _encode_vector(grad))
-        if opcode == OP_LOCAL_MIN_REQ:
-            if len(payload) != _SETTINGS.size:
-                raise CslError(f"local-min request payload must be {_SETTINGS.size} "
-                               f"bytes, got {len(payload)}")
-            settings = SolverSettings(*_SETTINGS.unpack(payload))
-            start = np.zeros(self._loss.shard.n_features)
-            theta = newton_minimize(self._loss.eval, start, settings)
-            return pack_frame(OP_LOCAL_MIN_REPLY, _encode_vector(theta))
-        raise AssertionError("unreachable")
+        if len(payload) != _SETTINGS.size:
+            raise CslError(f"local-min request payload must be {_SETTINGS.size} "
+                           f"bytes, got {len(payload)}")
+        settings = SolverSettings(*_SETTINGS.unpack(payload))
+        start = np.zeros(self._loss.shard.n_features)
+        theta = newton_minimize(self._loss.eval, start, settings)
+        return pack_frame(OP_LOCAL_MIN_REPLY, _encode_vector(theta))
 
 
 class WorkerClient:
@@ -173,43 +185,47 @@ class WorkerClient:
     def __init__(self, address: tuple[str, int], worker_index: int,
                  timeout: float = 60.0):
         self.worker_index = worker_index
+        self._d: int | None = None  # features of the loaded shard
         try:
             self._sock = socket.create_connection(address, timeout=timeout)
         except OSError as exc:
-            raise WorkerError(f"worker {worker_index}: cannot connect to "
-                              f"{address}: {exc}", worker=worker_index)
+            raise self._error(f"cannot connect to {address}: {exc}")
+
+    def _error(self, message: str) -> WorkerError:
+        return WorkerError(f"worker {self.worker_index}: {message}",
+                           worker=self.worker_index)
 
     def _send(self, opcode: int, payload: bytes = b"") -> None:
         try:
             self._sock.sendall(pack_frame(opcode, payload))
         except OSError as exc:
-            raise WorkerError(f"worker {self.worker_index}: send failed: {exc}",
-                              worker=self.worker_index)
+            raise self._error(f"send failed: {exc}")
 
-    def _expect(self, opcode: int) -> bytes:
+    def _expect_vector(self, opcode: int) -> np.ndarray:
+        """The reply frame ``opcode``, which must hold the loaded shard's d floats."""
         try:
             got, payload = read_frame(self._sock)
-        except (ConnectionError, OSError) as exc:
-            raise WorkerError(f"worker {self.worker_index}: {exc}",
-                              worker=self.worker_index)
+        except OSError as exc:  # ConnectionError included
+            raise self._error(str(exc))
         if got == OP_ERROR:
-            raise WorkerError(
-                f"worker {self.worker_index}: remote error: "
-                f"{payload.decode('utf-8', 'replace')}", worker=self.worker_index)
+            raise self._error(f"remote error: {payload.decode('utf-8', 'replace')}")
         if got != opcode:
-            raise WorkerError(f"worker {self.worker_index}: expected opcode "
-                              f"0x{opcode:02x}, got 0x{got:02x}",
-                              worker=self.worker_index)
-        return payload
+            raise self._error(f"expected opcode 0x{opcode:02x}, got 0x{got:02x}")
+        if self._d is None or len(payload) != 8 * self._d:
+            raise self._error(f"reply of {len(payload)} bytes is not the d={self._d} "
+                              "floats of the loaded shard")
+        return _decode_vector(payload)
 
     def load_shard(self, shard: DataShard) -> None:
-        self._send(OP_LOAD_SHARD, shard_to_csv(shard).encode("utf-8"))
+        self._send(OP_LOAD_SHARD, _SHAPE.pack(shard.n_samples, shard.n_features)
+                   + _encode_vector(shard.y) + _encode_vector(shard.x))
+        self._d = shard.n_features
 
     def send_gradient_request(self, theta: np.ndarray) -> None:
         self._send(OP_EVAL_GRAD, _encode_vector(theta))
 
     def recv_gradient(self) -> np.ndarray:
-        return _decode_vector(self._expect(OP_GRAD_REPLY))
+        return self._expect_vector(OP_GRAD_REPLY)
 
     def send_local_min_request(self, settings: SolverSettings) -> None:
         self._send(OP_LOCAL_MIN_REQ, _SETTINGS.pack(
@@ -217,17 +233,13 @@ class WorkerClient:
             settings.armijo_c))
 
     def recv_local_min(self) -> np.ndarray:
-        return _decode_vector(self._expect(OP_LOCAL_MIN_REPLY))
+        return self._expect_vector(OP_LOCAL_MIN_REPLY)
 
     def shutdown(self) -> None:
-        try:
+        with contextlib.suppress(OSError):
             self._sock.sendall(pack_frame(OP_SHUTDOWN))
-        except OSError:
-            pass
         self.close()
 
     def close(self) -> None:
-        try:
+        with contextlib.suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass

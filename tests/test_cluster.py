@@ -59,7 +59,7 @@ class TestLedger:
         cluster = make_cluster(1)
         cluster.gradient_round(np.zeros(3))
         cluster.local_minimizer_round()
-        cluster.gradient_vectors_at(np.zeros(3))
+        cluster.gradient_round(np.zeros(3))
         assert cluster.ledger == CommLedger(0, 0, 0)
 
     def test_local_minimizer_round_costs_kminus1(self):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import warnings
 
@@ -6,8 +8,7 @@ import pytest
 from conftest import fd_gradient, fd_jacobian, pure_python_logistic_gradient
 
 from csl.errors import DataError
-from csl.losses import (DataShard, LossModel, ShardLoss, shard_from_csv,
-                        shard_to_csv, sigmoid, softplus)
+from csl.losses import DataShard, LossModel, ShardLoss, shard_to_csv, sigmoid, softplus
 
 
 def random_shard(rng, n, d, binary=False, counts=False):
@@ -211,14 +212,14 @@ def test_csv_round_trip_is_exact():
     rng = np.random.default_rng(12)
     shard = DataShard(x=rng.standard_normal((20, 3)) * 1e3,
                       y=rng.standard_normal(20) / 7.0)
-    again = shard_from_csv(shard_to_csv(shard))
-    np.testing.assert_array_equal(again.x, shard.x)
-    np.testing.assert_array_equal(again.y, shard.y)
+    header, *rows = csv.reader(io.StringIO(shard_to_csv(shard)))
+    assert header == ["y", "x_1", "x_2", "x_3"]
+    values = np.array([[float(v) for v in row] for row in rows])
+    np.testing.assert_array_equal(values[:, 0], shard.y)
+    np.testing.assert_array_equal(values[:, 1:], shard.x)
 
 
 def test_csv_header_shape():
     shard = DataShard(x=np.ones((1, 2)), y=np.zeros(1))
     text = shard_to_csv(shard)
     assert text.splitlines()[0] == "y,x_1,x_2"
-    with pytest.raises(DataError):
-        shard_from_csv("x_1,y\n1,2\n")

@@ -1,17 +1,19 @@
 import socket
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from csl.cluster import Cluster
 from csl.datagen import gen_logistic
-from csl.errors import NonConvergenceError, WorkerError
+from csl.errors import DataError, NonConvergenceError, WorkerError
 from csl.losses import DataShard, LossModel
 from csl.solvers import SolverSettings, minimize_shard_loss
 from csl.transport import (OP_ERROR, OP_EVAL_GRAD, OP_GRAD_REPLY, OP_LOAD_SHARD,
-                           OP_LOCAL_MIN_REQ, WorkerClient, WorkerServer, pack_frame,
-                           read_frame)
+                           OP_LOCAL_MIN_REPLY, OP_LOCAL_MIN_REQ, WorkerClient,
+                           WorkerServer, pack_frame, read_frame)
 
 
 def test_frame_layout_is_little_endian():
@@ -109,15 +111,20 @@ class TestWorkerProtocol:
         finally:
             sock.close()
 
-    def test_malformed_shard_csv_reports_error(self, worker):
-        sock = socket.create_connection(worker.address, timeout=10)
-        try:
-            sock.sendall(pack_frame(OP_LOAD_SHARD, b"not,a,header\n1,2,3\n"))
-            sock.sendall(pack_frame(OP_EVAL_GRAD, np.zeros(2).tobytes()))
-            opcode, _ = read_frame(sock)
-            assert opcode == OP_ERROR
-        finally:
-            sock.close()
+    def test_malformed_shard_payload_gets_error_frame(self, worker):
+        cases = [
+            (b"\x01\x00\x00", "shorter than"),
+            (struct.pack("<II", 2, 3) + np.zeros(7).tobytes(), "does not hold"),
+            (struct.pack("<II", 1, 1) + np.array([0.0, np.inf]).tobytes(), "non-finite"),
+            (struct.pack("<II", 1, 1) + np.array([0.5, 1.0]).tobytes(), "labels in {0, 1}"),
+        ]
+        for payload, message in cases:
+            # each error frame drops the connection, so each case has its own
+            with socket.create_connection(worker.address, timeout=10) as sock:
+                sock.sendall(pack_frame(OP_LOAD_SHARD, payload))
+                opcode, reply = read_frame(sock)
+                assert opcode == OP_ERROR
+                assert message in reply.decode("utf-8")
 
 
 class TestTcpCluster:
@@ -193,8 +200,9 @@ class TestTcpCluster:
 
     def test_extreme_values_survive_the_wire(self):
         x = np.array([[1e-308, 1.0], [9.876543210987654e300, -1.0],
-                      [-1.2345678901234567e-5, 3.0]])
-        y = np.array([5.5, -2.25, 0.0])
+                      [-1.2345678901234567e-5, 3.0], [np.finfo(float).max, 2.0],
+                      [5e-324, -0.0]])
+        y = np.array([5.5, -2.25, 0.0, 2.0, -0.0])
         shard = DataShard(x=x, y=y)
         server = WorkerServer(LossModel.linear()).start()
         try:
@@ -204,8 +212,11 @@ class TestTcpCluster:
             client.send_gradient_request(theta)
             remote = client.recv_gradient()
             from csl.losses import ShardLoss
-            np.testing.assert_array_equal(
-                remote, ShardLoss(LossModel.linear(), shard).eval(theta, 1)[1])
+            local = ShardLoss(LossModel.linear(), shard).eval(theta, 1)[1]
+            assert remote.tobytes() == local.tobytes()
+            # the reply proves the load was handled; -0.0 keeps its sign bit
+            assert server._loss.shard.x.tobytes() == shard.x.tobytes()
+            assert server._loss.shard.y.tobytes() == shard.y.tobytes()
             client.shutdown()
         finally:
             server.stop()
@@ -216,3 +227,165 @@ class TestTcpCluster:
         with pytest.raises(ConfigError):
             Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
                                 transport="tcp", addresses=[("127.0.0.1", 1)])
+
+
+class TestFailedRoundsKeepTcpInStep:
+    """A round that raises leaves no unread reply behind, so the next round
+    over TCP matches the in-process one bit for bit."""
+
+    @staticmethod
+    def _next_rounds_agree(plain, over_tcp, theta):
+        g_plain, locals_plain = plain.gradient_round(theta)
+        g_tcp, locals_tcp = over_tcp.gradient_round(theta)
+        assert g_tcp.tobytes() == g_plain.tobytes()
+        for a, b in zip(locals_tcp, locals_plain):
+            assert a.tobytes() == b.tobytes()
+        assert over_tcp.ledger == plain.ledger
+
+    def test_wrong_shape_theta_sends_no_request(self):
+        pooled, _ = gen_logistic(3, 3 * 50, 8)
+        model = LossModel.logistic()
+        plain = Cluster.from_pooled(model, pooled.x, pooled.y, 3)
+        with Cluster.from_pooled(model, pooled.x, pooled.y, 3, transport="tcp") as over_tcp:
+            for cluster in (plain, over_tcp):
+                with pytest.raises(DataError, match="shape"):
+                    cluster.gradient_round(np.zeros(4))
+            self._next_rounds_agree(plain, over_tcp, np.array([0.5, -0.25, 1.0]))
+
+    def test_failed_coordinator_fit_still_reads_worker_replies(self):
+        # Shard 1 is separable, so its fit cannot converge; shards 2 and 3
+        # carry random labels and converge within three Newton steps.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((300, 2))
+        y = np.concatenate([(x[:100, 0] > 0).astype(float),
+                            rng.integers(0, 2, 200).astype(float)])
+        model = LossModel.logistic()
+        plain = Cluster.from_pooled(model, x, y, 3)
+        with Cluster.from_pooled(model, x, y, 3, transport="tcp") as over_tcp:
+            for cluster in (plain, over_tcp):
+                with pytest.raises(NonConvergenceError):
+                    cluster.local_minimizer_round(SolverSettings(max_iters=3))
+            self._next_rounds_agree(plain, over_tcp, np.array([0.25, -0.5]))
+
+    def test_failed_worker_leaves_later_replies_read(self):
+        # Shard 2 is separable, so worker 2 fails; worker 3's reply must
+        # still be read, leaving its connection ready for the next request.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((300, 2))
+        y = np.concatenate([rng.integers(0, 2, 100).astype(float),
+                            (x[100:200, 0] > 0).astype(float),
+                            rng.integers(0, 2, 100).astype(float)])
+        model = LossModel.logistic()
+        with Cluster.from_pooled(model, x, y, 3, transport="tcp") as over_tcp:
+            with pytest.raises(WorkerError, match="no convergence") as info:
+                over_tcp.local_minimizer_round(SolverSettings(max_iters=3))
+            assert info.value.worker == 2
+            theta = np.array([0.25, -0.5])
+            third = over_tcp._clients[1]
+            third.send_gradient_request(theta)
+            local = over_tcp.losses[2].gradient(theta)
+            assert third.recv_gradient().tobytes() == local.tobytes()
+
+
+class FakeWorker:
+    """A worker played by hand on a loopback listener: it accepts one
+    connection, reads the shard frame and one request, hands the connection
+    to ``misbehave(fake, conn)``, then closes the connection and listener."""
+
+    def __init__(self, misbehave):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(10.0)
+        self.address = self._listener.getsockname()[:2]
+        self.release = threading.Event()
+        self._thread = threading.Thread(target=self._serve, args=(misbehave,),
+                                        daemon=True)
+        self._thread.start()
+
+    def _serve(self, misbehave):
+        try:
+            conn, _ = self._listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                read_frame(conn)  # the shard
+                read_frame(conn)  # one request
+                misbehave(self, conn)
+        except OSError:
+            pass
+        finally:
+            self._listener.close()
+
+    def join(self):
+        """Release a stalled fake, join its thread and check its port is shut."""
+        self.release.set()
+        self._thread.join(timeout=10.0)
+        assert not self._thread.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection(self.address, timeout=2.0).close()
+
+
+def _close_mid_frame(fake, conn):
+    conn.sendall(pack_frame(OP_GRAD_REPLY, np.zeros(3).tobytes())[:9])
+
+
+def _stall(fake, conn):
+    fake.release.wait(timeout=10.0)
+
+
+def _wrong_opcode(fake, conn):
+    conn.sendall(pack_frame(OP_LOCAL_MIN_REPLY, np.zeros(3).tobytes()))
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("misbehave, message", [
+        (_close_mid_frame, "mid-frame"),
+        (_stall, "timed out"),
+        (_wrong_opcode, "expected opcode 0x03, got 0x05"),
+    ], ids=["closes-mid-frame", "stalls", "wrong-opcode"])
+    def test_fault_names_the_worker_in_bounded_time(self, misbehave, message):
+        fake = FakeWorker(misbehave)
+        client = WorkerClient(fake.address, worker_index=3, timeout=0.5)
+        try:
+            client.load_shard(make_shard())
+            client.send_gradient_request(np.zeros(3))
+            start = time.perf_counter()
+            with pytest.raises(WorkerError, match=message) as info:
+                client.recv_gradient()
+            assert time.perf_counter() - start < 5.0
+            assert info.value.worker == 3
+        finally:
+            client.close()
+            fake.join()
+
+    def test_fault_through_a_cluster(self):
+        fake = FakeWorker(_wrong_opcode)
+        shards = [make_shard(seed=j) for j in range(2)]
+        cluster = Cluster(LossModel.logistic(), shards, transport="tcp",
+                          addresses=[fake.address])
+        start = time.perf_counter()
+        with pytest.raises(WorkerError, match="expected opcode") as info:
+            cluster.gradient_round(np.zeros(3))
+        assert time.perf_counter() - start < 5.0
+        assert info.value.worker == 2
+        cluster.close()
+        fake.join()
+
+    @pytest.mark.parametrize("reply_floats", [1.5, 4], ids=["12-bytes", "d+1-floats"])
+    @pytest.mark.parametrize("round_, opcode", [
+        (lambda cluster: cluster.gradient_round(np.zeros(3)), OP_GRAD_REPLY),
+        (lambda cluster: cluster.local_minimizer_round(), OP_LOCAL_MIN_REPLY),
+    ], ids=["gradient", "local-min"])
+    def test_malformed_reply_names_its_worker(self, round_, opcode, reply_floats):
+        payload = np.zeros(4).tobytes()[:int(8 * reply_floats)]
+        fake = FakeWorker(lambda fake, conn: conn.sendall(pack_frame(opcode, payload)))
+        honest = WorkerServer(LossModel.logistic()).start()
+        try:
+            pooled, _ = gen_logistic(3, 3 * 40, 6)
+            with Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
+                                     transport="tcp",
+                                     addresses=[honest.address, fake.address]) as cluster:
+                with pytest.raises(WorkerError, match="not the d=3 floats") as info:
+                    round_(cluster)
+                assert info.value.worker == 3
+        finally:
+            honest.stop()
+            fake.join()

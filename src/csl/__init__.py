@@ -6,29 +6,23 @@ fits and posterior sampling then run locally. The cluster object meters
 every vector that crosses a machine boundary.
 """
 
-from .bayes import (Chain, CslBayesResult, McmcSettings, Prior, chain_to_csv,
-                    full_log_posterior, marginal_l1, metropolis, run_csl_bayes,
-                    surrogate_log_posterior)
+from .bayes import (Chain, CslBayesResult, McmcSettings, Prior, full_log_posterior,
+                    marginal_l1, metropolis, run_csl_bayes, surrogate_log_posterior)
 from .cluster import CommLedger, Cluster, split_rows
 from .datagen import derive_rng, gen_logistic, gen_sparse_linear
 from .errors import (ConfigError, CslError, DataError, NonConvergenceError,
                      SingularHessianError, WorkerError)
-from .estimators import (EXACT_SURROGATE, ONE_STEP, IleaTrajectory, SolverSettings,
-                         averaging_estimator, baseline_suite, ilea,
-                         minimize_surrogate, newton_minimize, one_step_update,
-                         subsample_estimator)
+from .estimators import (EXACT_SURROGATE, ONE_STEP, IleaTrajectory, averaging_estimator,
+                         ilea, minimize_surrogate, one_step_update, subsample_estimator)
 from .experiments import (ExperimentConfig, RunResult, config_from_mapping,
                           config_to_mapping, desk_presets, paper_presets,
                           parse_config_text, report, results_hash, run_experiment)
 from .inference import (ConfidenceIntervals, confidence_intervals, normal_quantile,
                         sandwich, sigma_cross, sigma_global, sigma_local)
 from .losses import DataShard, Link, LossModel, ShardLoss, shard_to_csv
-from .solvers import minimize_shard_loss
-from .sparse import (L1Settings, SparseEstimate, averaging_lasso, csl_lasso,
-                     estimate_noise_sd, fista_l1, iterative_csl_lasso,
-                     lambda_heuristic, local_lasso, soft_threshold)
-from .surrogate import (QuadraticSurrogate, SurrogateLoss, build_quadratic_surrogate,
-                        build_surrogate, surrogate_eval, surrogate_value,
-                        surrogate_value_gradient)
+from .solvers import SolverSettings, minimize_shard_loss, newton_minimize
+from .sparse import (L1Settings, SparseEstimate, averaging_lasso, csl_lasso, fista_l1,
+                     iterative_csl_lasso, lambda_heuristic, local_lasso, soft_threshold)
+from .surrogate import SurrogateLoss, build_surrogate
 
 __version__ = "0.1.0"

@@ -9,24 +9,22 @@ is kept available as the oracle the surrogate chain is compared against.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cluster import CommLedger, Cluster
+from .cluster import Cluster
 from .errors import CslError, DataError
 from .estimators import ONE_STEP, ilea, subsample_estimator
 from .solvers import SolverSettings
-from .surrogate import SurrogateLoss, build_surrogate, surrogate_value
+from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
     "Prior", "Chain", "McmcSettings", "metropolis",
     "surrogate_log_posterior", "full_log_posterior",
     "run_csl_bayes", "CslBayesResult", "marginal_l1",
-    "chain_to_csv",
 ]
 
 
@@ -158,7 +156,7 @@ def surrogate_log_posterior(s: SurrogateLoss, prior: Prior, theta: np.ndarray,
     logp = prior.log_density(theta)
     if logp == -math.inf:
         return -math.inf
-    return -float(n_total) * surrogate_value(s, theta) + logp
+    return -float(n_total) * s.eval(theta, 0)[0] + logp
 
 
 def full_log_posterior(cluster: Cluster, prior: Prior, theta: np.ndarray,
@@ -182,15 +180,12 @@ def full_log_posterior(cluster: Cluster, prior: Prior, theta: np.ndarray,
 
 @dataclass
 class CslBayesResult:
+    """A surrogate chain, its anchor and surrogate, and the vectors it cost."""
+
     chain: Chain
     anchor: np.ndarray
     surrogate: SurrogateLoss
-    ledger_start: CommLedger
-    ledger_end: CommLedger
-
-    @property
-    def vectors_spent(self) -> int:
-        return self.ledger_end.vectors_sent - self.ledger_start.vectors_sent
+    vectors_spent: int
 
 
 def run_csl_bayes(cluster: Cluster, prior: Prior,
@@ -204,7 +199,7 @@ def run_csl_bayes(cluster: Cluster, prior: Prior,
     The default proposal scale is 2.4 / sqrt(d * N * hbar) with hbar the mean
     diagonal curvature at the anchor, a normal-approximation step size.
     """
-    ledger_start = cluster.ledger.copy()
+    vectors_start = cluster.ledger.vectors_sent
     start = subsample_estimator(cluster, solver)
     anchor = ilea(cluster, start, rounds=init_rounds, mode=ONE_STEP,
                   settings=solver).final
@@ -223,7 +218,7 @@ def run_csl_bayes(cluster: Cluster, prior: Prior,
     chain = metropolis(log_target, anchor, scale, mcmc.iters, seed=mcmc.seed,
                        burn_in=mcmc.burn_in)
     return CslBayesResult(chain=chain, anchor=anchor, surrogate=surr,
-                          ledger_start=ledger_start, ledger_end=cluster.ledger.copy())
+                          vectors_spent=cluster.ledger.vectors_sent - vectors_start)
 
 
 def _coordinate_samples(chain, coordinate: int) -> np.ndarray:
@@ -263,15 +258,3 @@ def marginal_l1(chain_a, chain_b, coordinate: int = 0, bins: int = 60) -> float:
         return 2.0
     return float(np.abs(counts_a / total_a - counts_b / total_b).sum())
 
-
-def chain_to_csv(chain: Chain) -> str:
-    """Serialize a chain: header ``iter,accepted,theta_1..theta_d``, one row
-    per iteration, shortest round-trip decimals."""
-    d = chain.samples.shape[1]
-    buf = io.StringIO()
-    buf.write("iter,accepted," + ",".join(f"theta_{j + 1}" for j in range(d)) + "\n")
-    for t in range(chain.samples.shape[0]):
-        row = [str(t + 1), "1" if chain.accepted[t] else "0"]
-        row.extend(repr(float(v)) for v in chain.samples[t])
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()

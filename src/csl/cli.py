@@ -35,11 +35,7 @@ def _cmd_gen(args) -> int:
     rng = derive_rng(args.seed, "gen", args.kind)
     out = Path(args.out)
     if args.kind == "logistic":
-        theta_star = None
-        if args.theta_zero:
-            import numpy as np
-            theta_star = np.zeros(args.d)
-        shard, theta_star = gen_logistic(args.d, args.n, rng, theta_star=theta_star)
+        shard, theta_star = gen_logistic(args.d, args.n, rng)
         out.write_text(shard_to_csv(shard))
         _write_theta(out.with_name(out.stem + "_theta.csv"), theta_star)
         print(f"wrote {out} ({args.n} samples, d={args.d}) and its theta file")
@@ -115,8 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--s", type=int, default=10, help="nonzeros (sparse_linear)")
     gen.add_argument("--sigma", type=float, default=1.0, help="noise sd (sparse_linear)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--theta-zero", action="store_true",
-                     help="debug: force theta* = 0 (logistic)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 

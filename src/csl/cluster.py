@@ -47,10 +47,6 @@ class CommLedger:
     def copy(self) -> "CommLedger":
         return CommLedger(self.vectors_sent, self.rounds, self.samples_moved)
 
-    def bits_sent(self, d: int) -> int:
-        """Vector traffic in bits, at 64 bits per float64 coordinate."""
-        return 64 * d * self.vectors_sent
-
 
 def split_rows(x: np.ndarray, y: np.ndarray, k: int) -> list[DataShard]:
     """Split pooled rows into k equal consecutive blocks, one shard each."""
@@ -227,18 +223,6 @@ class Cluster:
         x = np.concatenate([s.x for s in self.shards], axis=0)
         y = np.concatenate([s.y for s in self.shards], axis=0)
         return DataShard(x=x, y=y)
-
-    def comm_report(self) -> dict:
-        """Ledger snapshot plus derived traffic in bits."""
-        return {
-            "k": self.k,
-            "d": self.d,
-            "n_per_shard": self.n_per_shard,
-            "vectors_sent": self.ledger.vectors_sent,
-            "rounds": self.ledger.rounds,
-            "samples_moved": self.ledger.samples_moved,
-            "bits_sent": self.ledger.bits_sent(self.d),
-        }
 
     def close(self) -> None:
         for client in self._clients:

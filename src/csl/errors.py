@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["CslError", "ConfigError", "DataError", "SingularHessianError",
+           "NonConvergenceError", "WorkerError"]
+
 
 class CslError(Exception):
     """Base class for all errors raised by this package."""

@@ -28,10 +28,10 @@ from .bayes import McmcSettings, Prior, full_log_posterior, marginal_l1, metropo
 from .cluster import Cluster
 from .datagen import derive_rng, gen_logistic, gen_sparse_linear
 from .errors import ConfigError, CslError, DataError
-from .estimators import ONE_STEP, SolverSettings, averaging_estimator, ilea, subsample_estimator
+from .estimators import ONE_STEP, averaging_estimator, ilea, subsample_estimator
 from .inference import confidence_intervals, sigma_cross, sigma_local
 from .losses import LossModel
-from .solvers import minimize_shard_loss
+from .solvers import SolverSettings, minimize_shard_loss
 from .sparse import L1Settings, averaging_lasso, csl_lasso, lambda_heuristic, local_lasso
 from .surrogate import build_surrogate
 

@@ -74,7 +74,7 @@ def sigma_local(s: SurrogateLoss, theta: np.ndarray) -> np.ndarray:
     return sandwich(curvature, middle)
 
 
-def sigma_cross(cluster: Cluster, theta: np.ndarray, host: int = 1) -> np.ndarray:
+def sigma_cross(cluster: Cluster, theta: np.ndarray) -> np.ndarray:
     """Sandwich whose middle term is the spread of whole-shard gradients:
     (n/k) * sum_j g_j g_j^T from one gradient round at theta.
 
@@ -92,7 +92,7 @@ def sigma_cross(cluster: Cluster, theta: np.ndarray, host: int = 1) -> np.ndarra
     for g in local_grads:
         middle += np.outer(g, g)
     middle *= n / k
-    curvature = cluster.losses[host - 1].eval(theta, 2)[2]
+    curvature = cluster.losses[0].eval(theta, 2)[2]
     return sandwich(curvature, middle)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -23,11 +22,11 @@ from .cluster import Cluster
 from .errors import DataError, NonConvergenceError
 from .losses import DataShard, LossModel, ShardLoss
 from .solvers import Objective
-from .surrogate import build_surrogate, surrogate_eval
+from .surrogate import build_surrogate
 
 __all__ = [
     "L1Settings", "SparseEstimate", "soft_threshold", "fista_l1",
-    "lambda_heuristic", "estimate_noise_sd", "local_lasso",
+    "lambda_heuristic", "local_lasso",
     "csl_lasso", "iterative_csl_lasso", "averaging_lasso",
 ]
 
@@ -35,20 +34,19 @@ __all__ = [
 _SNAP = 1e-12
 # Backtracking gives up once the local Lipschitz estimate passes this.
 _MAX_LIPSCHITZ = 1e18
+# Noise-estimate/refit passes of the calibrated local lasso.
+_REFIT_PASSES = 6
 
 
 @dataclass(frozen=True)
 class L1Settings:
-    """Proximal-gradient knobs. step_size=None turns on backtracking; a float
-    fixes the step (use 1/L for a known Lipschitz constant)."""
+    """Proximal-gradient knobs: the stopping tolerance and the iteration
+    budget. The step always comes from a backtracked Lipschitz estimate."""
 
-    step_size: float | None = None
     tol: float = 1e-8
     max_iters: int = 2000
 
     def __post_init__(self):
-        if self.step_size is not None and not (self.step_size > 0.0):
-            raise DataError("step_size must be positive or None")
         if not (self.tol > 0.0):
             raise DataError("tol must be positive")
         if self.max_iters < 1:
@@ -91,11 +89,11 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
              settings: L1Settings = L1Settings()) -> SparseEstimate:
     """Minimize ``f(theta) + lam * ||theta||_1`` by accelerated proximal descent.
 
-    Backtracks a local Lipschitz estimate unless a fixed step is given,
-    restarts momentum whenever the composite objective would rise (so the
-    accepted sequence is monotone and never ends above the start), and stops
-    once the decrease falls under tol AND the subgradient condition holds to
-    within 10*tol. Tiny coordinates are snapped to exact zeros on return.
+    Backtracks a local Lipschitz estimate, restarts momentum whenever the
+    composite objective would rise (so the accepted sequence is monotone and
+    never ends above the start), and stops once the decrease falls under tol
+    AND the subgradient condition holds to within 10*tol. Tiny coordinates are
+    snapped to exact zeros on return.
     """
     if lam < 0.0:
         raise DataError("lam must be >= 0")
@@ -106,7 +104,7 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
         raise DataError("objective is not finite at theta0")
     z = x.copy()
     momentum = 1.0
-    lipschitz = 1.0 if settings.step_size is None else 1.0 / settings.step_size
+    lipschitz = 1.0
     iterations = 0
     converged = False
     for iterations in range(1, settings.max_iters + 1):
@@ -117,8 +115,6 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
             fu = objective(u, 0)[0]
             du = u - z
             bound = fz + float(gz @ du) + 0.5 * lipschitz * float(du @ du)
-            if settings.step_size is not None:
-                break
             if fu <= bound + 1e-12 * max(1.0, abs(fz)):
                 break
             lipschitz *= 2.0
@@ -157,19 +153,14 @@ def lambda_heuristic(sigma_hat: float, d: int, n: int, scale: float = 2.0) -> fl
     return scale * sigma_hat * math.sqrt(math.log(d) / n)
 
 
-def estimate_noise_sd(model: LossModel, theta: np.ndarray, shard: DataShard) -> float:
-    """Root mean squared residual of y against the model mean at theta."""
-    return _noise_sd(ShardLoss(model, shard), theta)
-
-
 def _noise_sd(loss: ShardLoss, theta: np.ndarray) -> float:
+    """Root mean squared residual of y against the model mean at theta."""
     resid = loss.shard.y - loss.mean(theta)
     return float(np.sqrt(np.mean(resid * resid)))
 
 
 def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
-                settings: L1Settings = L1Settings(),
-                refit_passes: int = 6) -> SparseEstimate:
+                settings: L1Settings = L1Settings()) -> SparseEstimate:
     """Penalized fit on a single shard.
 
     With lam=None the penalty is calibrated by alternating a noise estimate at
@@ -182,7 +173,7 @@ def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
         return fista_l1(loss.eval, lam, np.zeros(shard.n_features), settings)
     theta = np.zeros(shard.n_features)
     estimate = None
-    for _ in range(max(1, refit_passes)):
+    for _ in range(_REFIT_PASSES):
         sigma_hat = _noise_sd(loss, theta)
         lam_pass = lambda_heuristic(sigma_hat, shard.n_features, shard.n_samples)
         estimate = fista_l1(loss.eval, lam_pass, theta, settings)
@@ -191,31 +182,30 @@ def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
 
 
 def csl_lasso(cluster: Cluster, anchor: np.ndarray | None = None,
-              lam: float | None = None, settings: L1Settings = L1Settings(),
-              host: int = 1) -> SparseEstimate:
+              lam: float | None = None,
+              settings: L1Settings = L1Settings()) -> SparseEstimate:
     """Penalized surrogate fit: one gradient round to build the surrogate at
-    the anchor, then FISTA on the host shard.
+    the anchor, then FISTA on the coordinator's shard.
 
     anchor=None fits a calibrated lasso on the coordinator's shard first
     (communication-free). lam=None uses the pooled-scale heuristic with the
-    noise level read off the anchor's residuals on the host shard.
+    noise level read off the anchor's residuals on the coordinator's shard.
     """
     if anchor is None:
-        anchor = local_lasso(cluster.model, cluster.shards[host - 1],
+        anchor = local_lasso(cluster.model, cluster.shards[0],
                              settings=settings).theta
     anchor = np.asarray(anchor, dtype=np.float64)
     if lam is None:
-        sigma_hat = _noise_sd(cluster.losses[host - 1], anchor)
+        sigma_hat = _noise_sd(cluster.losses[0], anchor)
         lam = lambda_heuristic(sigma_hat, cluster.d, cluster.n_total)
-    surr = build_surrogate(cluster, anchor, host=host)
-    return fista_l1(partial(surrogate_eval, surr), lam, anchor.copy(), settings)
+    surr = build_surrogate(cluster, anchor)
+    return fista_l1(surr.eval, lam, anchor.copy(), settings)
 
 
 def iterative_csl_lasso(cluster: Cluster, rounds: int,
                         theta0: np.ndarray | None = None,
                         lam: float | Sequence[float] | None = None,
-                        settings: L1Settings = L1Settings(),
-                        host: int = 1) -> list[SparseEstimate]:
+                        settings: L1Settings = L1Settings()) -> list[SparseEstimate]:
     """Re-anchor the surrogate lasso on its own output for a fixed number of
     rounds; each round costs one gradient round. lam may be a scalar, a
     per-round sequence, or None for the per-round heuristic."""
@@ -230,8 +220,7 @@ def iterative_csl_lasso(cluster: Cluster, rounds: int,
     anchor = theta0
     estimates: list[SparseEstimate] = []
     for lam_round in lams:
-        estimate = csl_lasso(cluster, anchor=anchor, lam=lam_round,
-                             settings=settings, host=host)
+        estimate = csl_lasso(cluster, anchor=anchor, lam=lam_round, settings=settings)
         estimates.append(estimate)
         anchor = estimate.theta
     return estimates

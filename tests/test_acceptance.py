@@ -27,8 +27,7 @@ from csl.inference import sandwich
 from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import minimize_shard_loss
 from csl.sparse import L1Settings, csl_lasso, fista_l1, local_lasso
-from csl.surrogate import (build_quadratic_surrogate, build_surrogate,
-                           surrogate_value, surrogate_value_gradient)
+from csl.surrogate import build_surrogate
 
 from conftest import enumerate_lasso_d3, fd_gradient, fd_jacobian, gauss_jordan_inverse
 
@@ -76,7 +75,7 @@ def test_criterion_01_anchor_identity(capfd):
             cluster = Cluster.from_pooled(model, x, y, k)
             anchor = rng.normal(size=d)
             s = build_surrogate(cluster, anchor)
-            _, grad = surrogate_value_gradient(s, anchor)
+            _, grad = s.eval(anchor, 1)
             pooled_grad = ShardLoss(model, cluster.pooled_shard(meter=False)).eval(anchor, 1)[1]
             assert float(np.max(np.abs(grad - pooled_grad))) < 1e-12
         assert time.perf_counter() - start < 5.0
@@ -147,15 +146,16 @@ def test_criterion_03_derivatives_match_finite_differences(capfd):
             cluster = Cluster(model, [shard, shard])
             s = build_surrogate(cluster, theta)
             probe = theta + 0.05 * rng.normal(size=d)
-            _, sgrad = surrogate_value_gradient(s, probe)
-            fd_s = fd_gradient(lambda t: surrogate_value(s, t), probe)
+            _, sgrad = s.eval(probe, 1)
+            fd_s = fd_gradient(lambda t: s.eval(t, 0)[0], probe)
             scale = max(1.0, float(np.linalg.norm(fd_s)))
             assert float(np.linalg.norm(sgrad - fd_s)) / scale < 1e-5
 
-            q = build_quadratic_surrogate(cluster, theta)
-            fd_q = fd_gradient(q.value, probe)
-            scale = max(1.0, float(np.linalg.norm(fd_q)))
-            assert float(np.linalg.norm(q.gradient(probe) - fd_q)) / scale < 1e-5
+            # the curvature the one-step update uses
+            shess = s.eval(theta, 2)[2]
+            fd_sh = fd_jacobian(lambda t: s.eval(t, 1)[1], theta)
+            scale = max(1.0, float(np.linalg.norm(fd_sh)))
+            assert float(np.linalg.norm(shess - fd_sh)) / scale < 1e-5
         assert time.perf_counter() - start < 10.0
 
 
@@ -270,10 +270,11 @@ def test_criterion_09_oracle_equivalences(capfd):
         pooled, _ = gen_logistic(4, 160, derive_rng(5, "accept-onestep"))
         cluster = Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 4)
         anchor = np.full(4, 0.2)
-        q = build_quadratic_surrogate(cluster, anchor)
-        theta_one = one_step_update(q)
-        h = 0.5 * (q.local_hessian + q.local_hessian.T)
-        independent = anchor - gauss_jordan_inverse(h) @ q.pooled_grad_at_anchor
+        s = build_surrogate(cluster, anchor)
+        theta_one = one_step_update(s)
+        hess = cluster.losses[0].eval(anchor, 2)[2]
+        h = 0.5 * (hess + hess.T)
+        independent = anchor - gauss_jordan_inverse(h) @ s.pooled_grad_at_anchor
         assert float(np.max(np.abs(theta_one - independent))) < 1e-10
 
         a = rng.normal(size=(4, 4))

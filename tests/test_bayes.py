@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from csl.bayes import (Chain, McmcSettings, Prior, chain_to_csv,
-                       full_log_posterior, marginal_l1, metropolis,
-                       run_csl_bayes, surrogate_log_posterior)
+from csl.bayes import (Chain, McmcSettings, Prior, full_log_posterior,
+                       marginal_l1, metropolis, run_csl_bayes,
+                       surrogate_log_posterior)
 from csl.cluster import Cluster
 from csl.datagen import derive_rng, gen_logistic
 from csl.errors import CslError, DataError
@@ -189,16 +189,3 @@ class TestMarginalDistance:
         c = np.ones((100, 1))
         assert marginal_l1(a, c) == pytest.approx(2.0)
 
-
-class TestChainCsv:
-    def test_schema_and_round_trip_values(self):
-        chain = metropolis(lambda t: float(-0.5 * t @ t), np.zeros(2), 1.0,
-                           50, seed=8)
-        text = chain_to_csv(chain)
-        lines = text.strip().split("\n")
-        assert lines[0] == "iter,accepted,theta_1,theta_2"
-        assert len(lines) == 51
-        first = lines[1].split(",")
-        assert first[0] == "1"  # rows are the states after iterations 1..T
-        assert first[1] in ("0", "1")
-        assert float(first[2]) == chain.samples[0, 0]

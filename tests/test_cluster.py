@@ -87,13 +87,6 @@ class TestLedger:
         cluster.pooled_shard(meter=False)
         assert cluster.ledger.samples_moved == 3 * 32
 
-    def test_bits_accounting(self):
-        cluster = make_cluster(3, d=5)
-        cluster.gradient_round(np.zeros(5))
-        report = cluster.comm_report()
-        assert report["vectors_sent"] == 4
-        assert report["bits_sent"] == 64 * 5 * 4
-
     def test_ledger_copy_is_a_snapshot(self):
         cluster = make_cluster(2)
         before = cluster.ledger.copy()

@@ -5,11 +5,11 @@ from csl.cluster import Cluster
 from csl.datagen import gen_logistic
 from csl.errors import DataError, SingularHessianError
 from csl.estimators import (EXACT_SURROGATE, ONE_STEP, averaging_estimator,
-                            baseline_suite, ilea, minimize_surrogate,
-                            one_step_update, subsample_estimator)
+                            ilea, minimize_surrogate, one_step_update,
+                            subsample_estimator)
 from csl.losses import DataShard, LossModel
 from csl.solvers import minimize_shard_loss
-from csl.surrogate import build_quadratic_surrogate, build_surrogate
+from csl.surrogate import build_surrogate
 
 from conftest import gauss_jordan_inverse
 
@@ -23,23 +23,32 @@ class TestOneStep:
     def test_matches_hand_rolled_inverse(self):
         cluster = logistic_cluster(seed=23)
         anchor = np.full(cluster.d, 0.1)
-        q = build_quadratic_surrogate(cluster, anchor)
-        got = one_step_update(q)
-        h = 0.5 * (q.local_hessian + q.local_hessian.T)
-        want = anchor - gauss_jordan_inverse(h) @ q.pooled_grad_at_anchor
+        s = build_surrogate(cluster, anchor)
+        got = one_step_update(s)
+        hess = cluster.losses[0].eval(anchor, 2)[2]
+        h = 0.5 * (hess + hess.T)
+        want = anchor - gauss_jordan_inverse(h) @ s.pooled_grad_at_anchor
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
+    def test_is_one_newton_step_on_the_surrogate(self):
+        cluster = logistic_cluster(seed=29)
+        anchor = np.full(cluster.d, -0.15)
+        got = one_step_update(build_surrogate(cluster, anchor))
+        hess = cluster.losses[0].eval(anchor, 2)[2]
+        pooled_grad = cluster.gradient_round(anchor)[0]
+        want = anchor - np.linalg.solve(0.5 * (hess + hess.T), pooled_grad)
+        np.testing.assert_array_equal(got, want)
+
     def test_exact_on_quadratic_model(self):
-        # for a linear model the quadratic surrogate is the host loss shifted,
-        # so one step from any anchor lands on the pooled least-squares fit
+        # for a linear model the surrogate is quadratic, so one Newton step
+        # from any anchor lands on the pooled least-squares fit
         # when every shard shares the same design (here: identical rows).
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
         y = np.array([1.0, 2.0, 2.8, -0.9])
         x_all = np.vstack([x, x])
         y_all = np.concatenate([y, y])
         cluster = Cluster.from_pooled(LossModel.linear(), x_all, y_all, 2)
-        q = build_quadratic_surrogate(cluster, np.array([5.0, -3.0]))
-        theta = one_step_update(q)
+        theta = one_step_update(build_surrogate(cluster, np.array([5.0, -3.0])))
         want, *_ = np.linalg.lstsq(x_all, y_all, rcond=None)
         np.testing.assert_allclose(theta, want, atol=1e-10)
 
@@ -47,9 +56,9 @@ class TestOneStep:
         x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank one
         y = np.array([1.0, 2.0, 3.0])
         cluster = Cluster(LossModel.linear(), [DataShard(x=x, y=y)])
-        q = build_quadratic_surrogate(cluster, np.zeros(2))
+        s = build_surrogate(cluster, np.zeros(2))
         with pytest.raises(SingularHessianError) as info:
-            one_step_update(q)
+            one_step_update(s)
         assert info.value.min_eigenvalue <= 1e-10
 
 
@@ -67,9 +76,8 @@ class TestMinimizeSurrogate:
         optimum = minimize_shard_loss(cluster.model, pooled)
         anchor = optimum + 0.01
         s = build_surrogate(cluster, anchor)
-        q = build_quadratic_surrogate(cluster, anchor)
         exact = minimize_surrogate(s)
-        linearized = one_step_update(q)
+        linearized = one_step_update(s)
         assert np.max(np.abs(exact - linearized)) < 1e-3
 
 
@@ -78,8 +86,8 @@ class TestIlea:
         cluster = logistic_cluster(d=3, k=8, n=120, seed=41)
         pooled = cluster.pooled_shard(meter=False)
         optimum = minimize_shard_loss(cluster.model, pooled)
-        traj = ilea(cluster, theta0=np.zeros(3), rounds=4, reference=optimum)
-        dists = traj.distances_to_reference
+        traj = ilea(cluster, theta0=np.zeros(3), rounds=4)
+        dists = [np.linalg.norm(it - optimum) for it in traj.iterates]
         assert dists[-1] < dists[0]
         assert dists[-1] < 1e-3
         # contraction should be monotone once inside the basin
@@ -108,9 +116,9 @@ class TestIlea:
         pooled = cluster.pooled_shard(meter=False)
         optimum = minimize_shard_loss(cluster.model, pooled)
         traj = ilea(cluster, theta0=np.zeros(3), rounds=6,
-                    mode=EXACT_SURROGATE, reference=optimum)
+                    mode=EXACT_SURROGATE)
         assert traj.mode == EXACT_SURROGATE
-        dists = traj.distances_to_reference
+        dists = [np.linalg.norm(it - optimum) for it in traj.iterates]
         assert dists[-1] < 1e-3
         assert dists[-1] < dists[0] / 1000
 
@@ -147,13 +155,3 @@ class TestBaselines:
         want = minimize_shard_loss(cluster.model, cluster.shards[0])
         np.testing.assert_array_equal(got, want)
         assert cluster.ledger.vectors_sent == 0
-
-    def test_baseline_suite_keys_and_pooling_cost(self):
-        cluster = logistic_cluster(k=4, seed=61)
-        fits = baseline_suite(cluster)
-        assert set(fits) == {"global", "subsample", "averaging"}
-        assert cluster.ledger.samples_moved == 3 * cluster.n_per_shard
-        pooled = cluster.pooled_shard(meter=False)
-        np.testing.assert_allclose(
-            fits["global"], minimize_shard_loss(cluster.model, pooled),
-            atol=1e-12)

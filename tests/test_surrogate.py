@@ -5,9 +5,8 @@ from csl.cluster import Cluster
 from csl.datagen import derive_rng, gen_logistic
 from csl.errors import DataError
 from csl.losses import LossModel, ShardLoss
-from csl.surrogate import (build_quadratic_surrogate, build_surrogate,
-                           surrogate_eval, surrogate_value,
-                           surrogate_value_gradient)
+from csl.estimators import one_step_update
+from csl.surrogate import build_surrogate
 
 from conftest import fd_gradient
 
@@ -25,7 +24,7 @@ class TestAnchorIdentity:
         for _ in range(12):
             anchor = rng.normal(size=cluster.d)
             s = build_surrogate(cluster, anchor)
-            _, grad = surrogate_value_gradient(s, anchor)
+            _, grad = s.eval(anchor, 1)
             pooled_grad = pooled.eval(anchor, 1)[1]
             assert np.max(np.abs(grad - pooled_grad)) < 1e-12
 
@@ -48,44 +47,23 @@ class TestSurrogateGeometry:
         theta = np.array([0.4, -0.2, 0.9, 0.1])
         direct = (ShardLoss(cluster.model, cluster.shards[0]).eval(theta, 0)[0]
                   - float(theta @ s.correction))
-        assert surrogate_value(s, theta) == pytest.approx(direct, abs=1e-15)
+        assert s.eval(theta, 0)[0] == pytest.approx(direct, abs=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         cluster = logistic_cluster(seed=5)
         s = build_surrogate(cluster, np.full(cluster.d, -0.1))
         theta = np.array([0.2, 0.7, -0.3, 0.05])
-        _, grad = surrogate_value_gradient(s, theta)
-        fd = fd_gradient(lambda t: surrogate_value(s, t), theta)
+        _, grad = s.eval(theta, 1)
+        fd = fd_gradient(lambda t: s.eval(t, 0)[0], theta)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
     def test_hessian_is_host_shard_hessian(self):
         cluster = logistic_cluster(seed=13)
         s = build_surrogate(cluster, np.zeros(cluster.d))
         theta = np.array([0.1, 0.2, 0.3, -0.4])
-        _, _, hess = surrogate_eval(s, theta)
+        _, _, hess = s.eval(theta)
         np.testing.assert_array_equal(
             hess, ShardLoss(cluster.model, cluster.shards[0]).eval(theta, 2)[2])
-
-
-class TestQuadraticSurrogate:
-    def test_value_and_gradient_formulas(self):
-        cluster = logistic_cluster(seed=17)
-        anchor = np.full(cluster.d, 0.25)
-        q = build_quadratic_surrogate(cluster, anchor)
-        theta = anchor + np.array([0.3, -0.1, 0.0, 0.2])
-        step = theta - anchor
-        want = float(q.pooled_grad_at_anchor @ step
-                     + 0.5 * step @ q.local_hessian @ step)
-        assert q.value(theta) == pytest.approx(want, abs=1e-15)
-        fd = fd_gradient(q.value, theta)
-        np.testing.assert_allclose(q.gradient(theta), fd, rtol=1e-6, atol=1e-8)
-
-    def test_value_zero_at_anchor(self):
-        cluster = logistic_cluster(seed=19)
-        anchor = np.full(cluster.d, -0.5)
-        q = build_quadratic_surrogate(cluster, anchor)
-        assert q.value(anchor) == 0.0
-        np.testing.assert_array_equal(q.gradient(anchor), q.pooled_grad_at_anchor)
 
 
 class TestBuildCost:
@@ -96,10 +74,10 @@ class TestBuildCost:
         assert cluster.ledger.vectors_sent - before.vectors_sent == 2 * (6 - 1)
         assert cluster.ledger.rounds - before.rounds == 1
 
-    def test_quadratic_build_same_cost(self):
+    def test_one_step_round_same_cost(self):
         cluster = logistic_cluster(k=3)
         before = cluster.ledger.copy()
-        build_quadratic_surrogate(cluster, np.zeros(cluster.d))
+        one_step_update(build_surrogate(cluster, np.zeros(cluster.d)))
         assert cluster.ledger.vectors_sent - before.vectors_sent == 2 * (3 - 1)
 
     def test_single_machine_build_is_free(self):
@@ -126,6 +104,6 @@ class TestValidation:
         cluster = logistic_cluster(k=1)
         s = build_surrogate(cluster, np.full(cluster.d, 0.2))
         theta = np.array([0.3, -0.6, 0.1, 0.9])
-        assert surrogate_value(s, theta) == pytest.approx(
+        assert s.eval(theta, 0)[0] == pytest.approx(
             ShardLoss(cluster.model, cluster.shards[0]).eval(theta, 0)[0], abs=1e-15)
         np.testing.assert_array_equal(s.correction, np.zeros(cluster.d))

@@ -63,9 +63,9 @@ class Prior:
     def log_density(self, theta: np.ndarray) -> float:
         """Exact log density (normalized for the proper priors); -inf outside
         the box prior's support."""
-        theta = np.asarray(theta, dtype=np.float64)
         if self.kind == "flat":
             return 0.0
+        theta = np.asarray(theta, dtype=np.float64)
         if self.kind == "gaussian":
             z = (theta - self.mean) / self.sd
             return float(-0.5 * z @ z - np.log(self.sd).sum()
@@ -131,17 +131,20 @@ def metropolis(log_target: Callable[[np.ndarray], float], theta0: np.ndarray,
     if burn_in is None:
         burn_in = iters // 2
     rng = np.random.default_rng(seed)
+    normal, uniform = rng.standard_normal, rng.random
+    log, isnan = math.log, math.isnan
     samples = np.empty((iters, d))
     accepted = np.zeros(iters, dtype=bool)
     for t in range(iters):
-        noise = rng.standard_normal(d) * proposal_scale
-        unif = rng.uniform()
-        proposal = theta + noise
+        proposal = normal(d)
+        proposal *= proposal_scale
+        unif = uniform()
+        proposal += theta
         cand = float(log_target(proposal))
-        if math.isnan(cand):
+        if isnan(cand):
             raise CslError(f"log target returned NaN at iteration {t}")
         delta = cand - current
-        if delta >= 0.0 or (unif > 0.0 and math.log(unif) < delta):
+        if delta >= 0.0 or (unif > 0.0 and log(unif) < delta):
             theta = proposal
             current = cand
             accepted[t] = True

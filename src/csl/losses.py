@@ -4,8 +4,10 @@ Every loss is an empirical mean over one shard: logistic log-loss, unhalved
 squared error, and canonical generalized linear models written as
 ``mean(-y*u + phi(u))`` with ``u = x @ theta``. :class:`ShardLoss` binds a
 model to a shard, checks the response once, and returns the value, gradient
-and Hessian up to a requested order from one pass over the rows. All
-evaluations are plain numpy; nothing here talks to the cluster or the ledger.
+and Hessian up to a requested order from one pass over the rows. An evaluator
+holds its own scratch vectors, so a value allocates no n-length array, and
+one evaluator must not be called from two threads at once. All evaluations are
+plain numpy; nothing here talks to the cluster or the ledger.
 """
 
 from __future__ import annotations
@@ -30,10 +32,20 @@ __all__ = [
 ]
 
 
-def softplus(u: np.ndarray) -> np.ndarray:
-    """log(1 + exp(u)) as max(u, 0) + log1p(exp(-|u|)), which cannot overflow."""
+def softplus(u: np.ndarray, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """log(1 + exp(u)) as max(u, 0) + log1p(exp(-|u|)), which cannot overflow.
+
+    ``out`` receives the result and ``work`` the log1p term; each is an array
+    shaped like u that shares no memory with it, allocated when not given.
+    """
     u = np.asarray(u, dtype=np.float64)
-    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+    out = np.maximum(u, 0.0, out=out)
+    work = np.abs(u, out=work)
+    np.negative(work, out=work)
+    np.exp(work, out=work)
+    np.log1p(work, out=work)
+    return np.add(out, work, out=out)
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -49,19 +61,25 @@ def _logistic_weight(u: np.ndarray) -> np.ndarray:
     return e / np.square(1.0 + e)
 
 
-def _exp(u: np.ndarray) -> np.ndarray:
+def _exp(u: np.ndarray, out: np.ndarray | None = None,
+         work: np.ndarray | None = None) -> np.ndarray:
     """exp whose overflow to inf is silent; the Newton line search rejects
-    the non-finite values it produces."""
+    the non-finite values it produces. ``work`` is unused; it keeps the
+    cumulant signature of :func:`softplus`."""
     with np.errstate(over="ignore"):
-        return np.exp(u)
+        return np.exp(u, out=out)
 
 
 @dataclass(frozen=True)
 class Link:
-    """Canonical cumulant of a GLM family with its first two derivatives."""
+    """Canonical cumulant of a GLM family with its first two derivatives.
+
+    ``phi(u, out, work)`` writes into ``out`` and may use ``work`` as scratch;
+    called with u alone, it returns a fresh array, as the derivatives do.
+    """
 
     name: str
-    phi: Callable[[np.ndarray], np.ndarray]
+    phi: Callable[..., np.ndarray]
     phi_prime: Callable[[np.ndarray], np.ndarray]
     phi_double: Callable[[np.ndarray], np.ndarray]
     binary_response: bool = False
@@ -167,12 +185,21 @@ class ShardLoss:
     checks theta's shape and finiteness and computes ``u = x @ theta`` once.
     The family branch, squared error or a canonical GLM cumulant, lives here
     and nowhere else.
+
+    The evaluator owns three n-vectors, allocated when it is bound: ``u`` and
+    two scratch vectors. A value (order 0) writes every intermediate into
+    them and allocates no n-length array; every array a method returns is
+    fresh. Because the buffers are shared between calls, one evaluator must
+    not be called from two threads at once: each TCP worker binds its own,
+    and the coordinator's evaluators run on its thread only.
     """
 
     def __init__(self, model: LossModel, shard: DataShard):
         model.validate_response(shard.y)
         self.model = model
         self.shard = shard
+        n = shard.n_samples
+        self._u, self._v, self._work = np.empty(n), np.empty(n), np.empty(n)
 
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         """theta as a float64 array of shape (d,) with finite entries."""
@@ -180,12 +207,13 @@ class ShardLoss:
         if theta.shape != (self.shard.n_features,):
             raise DataError(
                 f"theta has shape {theta.shape}; shard has {self.shard.n_features} features")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DataError("theta contains non-finite entries")
         return theta
 
     def _predict(self, theta: np.ndarray) -> np.ndarray:
-        return self.shard.x @ self.check_theta(theta)
+        """``x @ theta`` written into the u buffer."""
+        return np.matmul(self.shard.x, self.check_theta(theta), out=self._u)
 
     def _mean(self, u: np.ndarray) -> np.ndarray:
         link = self.model.link
@@ -193,7 +221,7 @@ class ShardLoss:
 
     def _gradient(self, u: np.ndarray) -> np.ndarray:
         x, n = self.shard.x, self.shard.n_samples
-        excess = self._mean(u) - self.shard.y
+        excess = np.subtract(self._mean(u), self.shard.y, out=self._v)
         if self.model.link is None:
             return (2.0 / n) * (x.T @ excess)
         return (x.T @ excess) / n
@@ -206,11 +234,17 @@ class ShardLoss:
         u = self._predict(theta)
         x, y, n = self.shard.x, self.shard.y, self.shard.n_samples
         link = self.model.link
+        # Every intermediate of the value goes into the scratch vectors, in
+        # the order of mean(r*r) or mean(phi(u) - y*u); add.reduce is the sum
+        # np.mean takes.
+        v, work = self._v, self._work
         if link is None:
-            r = y - u
-            value = float(np.mean(r * r))
+            np.subtract(y, u, out=v)
+            np.multiply(v, v, out=v)
         else:
-            value = float(np.mean(link.phi(u) - y * u))
+            link.phi(u, out=v, work=work)
+            np.subtract(v, np.multiply(y, u, out=work), out=v)
+        value = float(np.add.reduce(v)) / n
         if order == 0:
             return (value,)
         grad = self._gradient(u)
@@ -227,7 +261,9 @@ class ShardLoss:
 
     def mean(self, theta: np.ndarray) -> np.ndarray:
         """The model mean of each sample's response at theta."""
-        return self._mean(self._predict(theta))
+        u = self._predict(theta)
+        mean = self._mean(u)
+        return mean.copy() if mean is u else mean
 
     def per_sample(self, theta: np.ndarray) -> np.ndarray:
         """(n, d) matrix whose i-th row is the gradient of sample i's loss term.
@@ -235,7 +271,7 @@ class ShardLoss:
         The row mean equals the gradient up to floating-point reduction
         order; squared error carries its factor 2.
         """
-        excess = self.mean(theta) - self.shard.y
+        excess = self._mean(self._predict(theta)) - self.shard.y
         if self.model.link is None:
             excess = 2.0 * excess
         return self.shard.x * excess[:, None]

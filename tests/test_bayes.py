@@ -87,6 +87,33 @@ class TestMetropolis:
         with pytest.raises(DataError):
             metropolis(fenced, np.zeros(1), 1.0, 100)
 
+    @pytest.mark.parametrize("width,scale,regime", [(1e3, 0.1, "accepts"),
+                                                    (1.0, 20.0, "rejects")])
+    def test_stream_matches_the_reference_loop(self, width, scale, regime):
+        def target(theta):
+            return float(-0.5 * theta @ theta / width ** 2)
+
+        theta = np.array([0.3, -0.2])
+        current = target(theta)
+        rng = np.random.default_rng(17)
+        want_samples, want_accepted = [], []
+        for _ in range(400):
+            noise = rng.standard_normal(2) * scale
+            unif = rng.uniform()
+            proposal = theta + noise
+            cand = target(proposal)
+            delta = cand - current
+            ok = delta >= 0.0 or (unif > 0.0 and math.log(unif) < delta)
+            if ok:
+                theta, current = proposal, cand
+            want_samples.append(theta)
+            want_accepted.append(ok)
+        chain = metropolis(target, np.array([0.3, -0.2]), scale, 400, seed=17)
+        np.testing.assert_array_equal(chain.samples, np.array(want_samples))
+        np.testing.assert_array_equal(chain.accepted, np.array(want_accepted))
+        rate = chain.acceptance_rate
+        assert rate > 0.95 if regime == "accepts" else rate < 0.2
+
     def test_settings_validation(self):
         with pytest.raises(DataError):
             McmcSettings(iters=1)

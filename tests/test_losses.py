@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -185,6 +186,101 @@ class TestKernels:
         np.testing.assert_array_equal(loss.gradient(theta), g1)
         with pytest.raises(DataError):
             loss.eval(theta, 3)
+
+
+def plain_expressions(family, shard, theta):
+    """The evaluator's arithmetic written as whole-array expressions, each of
+    which allocates its result: value, gradient, Hessian, mean and per-sample
+    rows. The buffered evaluator must equal these bit for bit."""
+    x, y, n = shard.x, shard.y, shard.n_samples
+    u = x @ theta
+    if family == "linear":
+        r = y - u
+        mean = u
+        return (float(np.mean(r * r)), (2.0 / n) * (x.T @ (mean - y)),
+                (2.0 / n) * (x.T @ x), mean, x * (2.0 * (mean - y))[:, None])
+    if family == "logistic":
+        e = np.exp(-np.abs(u))
+        phi = np.maximum(u, 0.0) + np.log1p(e)
+        mean = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+        weight = e / np.square(1.0 + e)
+    else:
+        phi = mean = weight = np.exp(u)
+    return (float(np.mean(phi - y * u)), (x.T @ (mean - y)) / n,
+            (x * weight[:, None]).T @ x / n, mean, x * (mean - y)[:, None])
+
+
+FAMILIES = {"logistic": LossModel.logistic(), "linear": LossModel.linear(),
+            "poisson": LossModel.glm("log")}
+
+
+def family_loss(family, n, d, seed):
+    rng = np.random.default_rng(seed)
+    shard = random_shard(rng, n, d, binary=family == "logistic",
+                         counts=family == "poisson")
+    return ShardLoss(FAMILIES[family], shard), rng
+
+
+class TestBuffers:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_every_output_equals_the_plain_expressions(self, family):
+        loss, rng = family_loss(family, 257, 3, 21)
+        for _ in range(5):
+            theta = 0.5 * rng.standard_normal(3)
+            value, grad, hess, mean, rows = plain_expressions(family, loss.shard, theta)
+            assert loss.eval(theta, 0) == (value,)
+            v1, g1 = loss.eval(theta, 1)
+            v2, g2, h2 = loss.eval(theta, 2)
+            assert v1 == v2 == value
+            for got in (g1, g2, loss.gradient(theta)):
+                np.testing.assert_array_equal(got, grad)
+            np.testing.assert_array_equal(h2, hess)
+            np.testing.assert_array_equal(loss.mean(theta), mean)
+            np.testing.assert_array_equal(loss.per_sample(theta), rows)
+
+    def test_softplus_out_and_work_keep_the_value(self):
+        u = np.linspace(-800.0, 800.0, 4001)
+        want = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+        out, work = np.empty_like(u), np.empty_like(u)
+        got = softplus(u, out=out, work=work)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(softplus(u), want)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_results_never_alias_the_buffers(self, family):
+        loss, rng = family_loss(family, 64, 2, 22)
+        theta, other = 0.3 * rng.standard_normal(2), 0.3 * rng.standard_normal(2)
+        first = loss.eval(theta, 2) + (loss.gradient(theta), loss.mean(theta),
+                                       loss.per_sample(theta))
+        kept = [np.array(item, copy=True) for item in first]
+        loss.eval(other, 2)
+        loss.gradient(other)
+        loss.mean(other)
+        loss.per_sample(other)
+        for item, copy in zip(first, kept):
+            np.testing.assert_array_equal(item, copy)
+        (value,) = loss.eval(theta, 0)
+        for item in first[1:]:
+            item[...] = np.nan
+        assert loss.eval(theta, 0) == (value,)
+        np.testing.assert_array_equal(loss.mean(theta), kept[4])
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_value_allocates_no_n_vector(self, family):
+        n = 16_384
+        loss, rng = family_loss(family, n, 2, 23)
+        theta = 0.3 * rng.standard_normal(2)
+        tracemalloc.start()
+        try:
+            loss.eval(theta, 0)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.eval(theta, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * n
 
 
 class TestValidation:

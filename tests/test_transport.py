@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from csl import transport
 from csl.cluster import Cluster
 from csl.datagen import gen_logistic
 from csl.errors import DataError, NonConvergenceError, WorkerError
@@ -227,6 +228,51 @@ class TestTcpCluster:
         with pytest.raises(ConfigError):
             Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
                                 transport="tcp", addresses=[("127.0.0.1", 1)])
+
+
+def test_socket_vector_bytes_match_the_ledger(monkeypatch):
+    """Payload bytes of the vector frames read off the sockets in a round are
+    8*d per ledger vector; headers and the settings request count apart."""
+    frames, received = [], []
+    recv_exact, read = transport._recv_exact, transport.read_frame
+
+    def counted_recv(sock, nbytes):
+        data = recv_exact(sock, nbytes)
+        received.append(len(data))
+        return data
+
+    def counted_read(sock):
+        opcode, payload = read(sock)
+        frames.append((opcode, len(payload)))
+        return opcode, payload
+
+    monkeypatch.setattr(transport, "_recv_exact", counted_recv)
+    monkeypatch.setattr(transport, "read_frame", counted_read)
+    pooled, _ = gen_logistic(4, 50 * 3, 9)
+    with Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
+                             transport="tcp") as cluster:
+        d = cluster.d
+        # A worker reads its shard frame after load_shard returns; once a
+        # round has been answered, every shard frame has been read.
+        cluster.gradient_round(np.zeros(d))
+        rounds = [(lambda: cluster.gradient_round(np.zeros(d)),
+                   {OP_EVAL_GRAD: 2, OP_GRAD_REPLY: 2}),
+                  (lambda: cluster.local_minimizer_round(),
+                   {OP_LOCAL_MIN_REQ: 2, OP_LOCAL_MIN_REPLY: 2})]
+        for run_round, opcodes in rounds:
+            frames.clear()
+            received.clear()
+            vectors = cluster.ledger.vectors_sent
+            run_round()
+            vectors = cluster.ledger.vectors_sent - vectors
+            assert sorted(op for op, _ in frames) == sorted(
+                op for op, count in opcodes.items() for _ in range(count))
+            vector_bytes = sum(size for op, size in frames if op != OP_LOCAL_MIN_REQ)
+            assert vector_bytes == 8 * d * vectors
+            settings_bytes = sum(size for op, size in frames if op == OP_LOCAL_MIN_REQ)
+            assert settings_bytes == transport._SETTINGS.size * opcodes.get(OP_LOCAL_MIN_REQ, 0)
+            assert sum(received) == (vector_bytes + settings_bytes
+                                     + transport._HEADER.size * len(frames))
 
 
 class TestFailedRoundsKeepTcpInStep:

@@ -201,6 +201,12 @@ class ShardLoss:
         n = shard.n_samples
         self._u, self._v, self._work = np.empty(n), np.empty(n), np.empty(n)
 
+    def restrict(self, columns: np.ndarray) -> "ShardLoss":
+        """The same model on ``x[:, columns]`` and the same y: at a theta that
+        is zero off those columns, the loss of ``theta[columns]``."""
+        return ShardLoss(self.model, DataShard(x=self.shard.x[:, columns],
+                                               y=self.shard.y))
+
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         """theta as a float64 array of shape (d,) with finite entries."""
         theta = np.asarray(theta, dtype=np.float64)

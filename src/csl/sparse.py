@@ -1,11 +1,19 @@
 """L1-regularized estimation: FISTA, the surrogate lasso, and baselines.
 
-The proximal solver takes the smooth part in the package's objective
-convention, ``objective(theta, order)`` returning ``(value,)`` for order 0 and
-``(value, gradient)`` for order 1 (see :mod:`csl.solvers`), so the same code
-fits a local shard lasso, the pooled lasso, and the surrogate lasso. It asks
+The proximal solver :func:`fista_l1` takes the smooth part in the package's
+objective convention, ``objective(theta, order)`` returning ``(value,)`` for
+order 0 and ``(value, gradient)`` for order 1 (see :mod:`csl.solvers`). It asks
 for order 0 at the start, at every backtracking probe and at the end, and for
-order 1 once per iteration plus once per stationarity check. The
+order 1 once per iteration plus once per stationarity check.
+
+The lasso entry points (the local, pooled, surrogate and averaged fits) keep
+only a few of their columns, so they solve on a working set. A pass runs
+:func:`fista_l1` on the columns of the working set alone, through the
+``restrict(columns)`` evaluator of the loss, then takes one gradient over all
+columns. The fit is certified only when the subgradient condition holds on
+every column at the stopping slack; otherwise the columns that break it,
+largest first, join the set and the next pass starts from the current fit.
+The passes share the iteration budget of :class:`L1Settings`. The
 communication-efficient path pays one gradient round to build the surrogate
 and then solves entirely on the host shard.
 """
@@ -13,7 +21,7 @@ and then solves entirely on the host shard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +30,7 @@ from .cluster import Cluster
 from .errors import DataError, NonConvergenceError
 from .losses import DataShard, LossModel, ShardLoss
 from .solvers import Objective
-from .surrogate import build_surrogate
+from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
     "L1Settings", "SparseEstimate", "soft_threshold", "fista_l1",
@@ -36,6 +44,10 @@ _SNAP = 1e-12
 _MAX_LIPSCHITZ = 1e18
 # Noise-estimate/refit passes of the calibrated local lasso.
 _REFIT_PASSES = 6
+# Columns beyond the start point's support in the first working set, and the
+# factor by which one pass may at most grow the set.
+_WS_START = 10
+_WS_GROWTH = 2
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,7 @@ class L1Settings:
 @dataclass(frozen=True)
 class SparseEstimate:
     """A penalized fit: the point, its support, the composite objective there,
-    the outer iterations spent, and whether the stopping test was met (an
+    the FISTA iterations spent, and whether the stopping test was met (an
     exhausted budget is flagged here, not raised)."""
 
     theta: np.ndarray
@@ -159,6 +171,80 @@ def _noise_sd(loss: ShardLoss, theta: np.ndarray) -> float:
     return float(np.sqrt(np.mean(resid * resid)))
 
 
+def _add_violators(working: np.ndarray, grad: np.ndarray, lam: float,
+                   slack: float, room: int) -> np.ndarray:
+    """The working set plus at most ``room`` columns outside it whose gradient
+    leaves the lam tube by more than slack, largest |gradient| first."""
+    outside = np.ones(grad.size, dtype=bool)
+    outside[working] = False
+    violators = np.flatnonzero(outside & (np.abs(grad) > lam + slack))
+    order = np.argsort(-np.abs(grad[violators]), kind="stable")
+    return np.union1d(working, violators[order[:room]])
+
+
+def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
+                       theta0: np.ndarray, settings: L1Settings) -> SparseEstimate:
+    """Minimize ``loss + lam * ||theta||_1`` with :func:`fista_l1` on a growing
+    set of columns, certified by the full gradient.
+
+    The set starts as the support of theta0 plus the ``_WS_START`` columns
+    that break the subgradient condition most. Each pass solves on the set,
+    warm-started at the current fit, then checks the condition on every
+    column at the 10*tol slack of :func:`fista_l1`; the violators outside the
+    set join it, largest first, at most ``_WS_GROWTH`` times its size. The fit
+    is converged only when that full check holds. The passes share
+    ``settings.max_iters``: each spends at least one iteration and at most
+    half the remaining budget, rounded up, so the loop ends, and a pass that
+    stalls short of tol on too small a set leaves iterations for a larger
+    one. ``iterations`` is their total.
+    """
+    if lam < 0.0:
+        raise DataError("lam must be >= 0")
+    theta = np.array(theta0, dtype=np.float64)
+    slack = 10.0 * settings.tol
+    value, grad = loss.eval(theta, 1)
+    if not np.isfinite(value):
+        raise DataError("objective is not finite at theta0")
+    working = np.flatnonzero(theta)
+    room = _WS_START
+    iterations = 0
+    converged = False
+    while True:
+        if _stationarity_ok(grad, theta, lam, slack):
+            converged = True
+            break
+        if iterations >= settings.max_iters:
+            break
+        working = _add_violators(working, grad, lam, slack, room)
+        budget = (settings.max_iters - iterations + 1) // 2
+        fit = fista_l1(loss.restrict(working).eval, lam, theta[working],
+                       replace(settings, max_iters=budget))
+        iterations += fit.iterations
+        theta = np.zeros_like(theta)
+        theta[working] = fit.theta
+        value, grad = loss.eval(theta, 1)
+        room = (_WS_GROWTH - 1) * working.size
+    return SparseEstimate(theta=theta, support=np.flatnonzero(theta),
+                          objective_value=value + lam * float(np.abs(theta).sum()),
+                          iterations=iterations, converged=converged)
+
+
+def _local_lasso(loss: ShardLoss, lam: float | None,
+                 settings: L1Settings) -> SparseEstimate:
+    """:func:`local_lasso` on a bound shard evaluator."""
+    theta = np.zeros(loss.shard.n_features)
+    if lam is not None:
+        return _working_set_lasso(loss, lam, theta, settings)
+    estimate = None
+    for _ in range(_REFIT_PASSES):
+        sigma_hat = _noise_sd(loss, theta)
+        lam_pass = lambda_heuristic(sigma_hat, loss.shard.n_features,
+                                    loss.shard.n_samples)
+        estimate = _working_set_lasso(loss, lam_pass, theta, settings)
+        theta = estimate.theta
+    return estimate
+
+
 def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
                 settings: L1Settings = L1Settings()) -> SparseEstimate:
     """Penalized fit on a single shard.
@@ -168,38 +254,27 @@ def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
     The first pass over-penalizes when the signal is strong; the recursion
     settles within a few passes as residuals approach the noise floor.
     """
-    loss = ShardLoss(model, shard)
-    if lam is not None:
-        return fista_l1(loss.eval, lam, np.zeros(shard.n_features), settings)
-    theta = np.zeros(shard.n_features)
-    estimate = None
-    for _ in range(_REFIT_PASSES):
-        sigma_hat = _noise_sd(loss, theta)
-        lam_pass = lambda_heuristic(sigma_hat, shard.n_features, shard.n_samples)
-        estimate = fista_l1(loss.eval, lam_pass, theta, settings)
-        theta = estimate.theta
-    return estimate
+    return _local_lasso(ShardLoss(model, shard), lam, settings)
 
 
 def csl_lasso(cluster: Cluster, anchor: np.ndarray | None = None,
               lam: float | None = None,
               settings: L1Settings = L1Settings()) -> SparseEstimate:
     """Penalized surrogate fit: one gradient round to build the surrogate at
-    the anchor, then FISTA on the coordinator's shard.
+    the anchor, then a working-set FISTA on the coordinator's shard.
 
     anchor=None fits a calibrated lasso on the coordinator's shard first
     (communication-free). lam=None uses the pooled-scale heuristic with the
     noise level read off the anchor's residuals on the coordinator's shard.
     """
     if anchor is None:
-        anchor = local_lasso(cluster.model, cluster.shards[0],
-                             settings=settings).theta
+        anchor = _local_lasso(cluster.losses[0], None, settings).theta
     anchor = np.asarray(anchor, dtype=np.float64)
     if lam is None:
         sigma_hat = _noise_sd(cluster.losses[0], anchor)
         lam = lambda_heuristic(sigma_hat, cluster.d, cluster.n_total)
     surr = build_surrogate(cluster, anchor)
-    return fista_l1(surr.eval, lam, anchor.copy(), settings)
+    return _working_set_lasso(surr, lam, anchor, settings)
 
 
 def iterative_csl_lasso(cluster: Cluster, rounds: int,
@@ -236,8 +311,7 @@ def averaging_lasso(cluster: Cluster, lam: float | None = None,
     single program. Near-zero coordinates of the average are snapped so the
     support is well defined.
     """
-    fits = cluster.local_fit_round(
-        lambda loss: local_lasso(loss.model, loss.shard, lam=lam, settings=settings))
+    fits = cluster.local_fit_round(lambda loss: _local_lasso(loss, lam, settings))
     acc = np.zeros(cluster.d)
     for fit in fits:
         acc += fit.theta

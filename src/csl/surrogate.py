@@ -53,6 +53,14 @@ class SurrogateLoss:
             return (value,)
         return (value, out[1] - self.correction) + out[2:]
 
+    def restrict(self, columns: np.ndarray) -> "SurrogateLoss":
+        """The surrogate on the host shard's ``x[:, columns]``: at a theta that
+        is zero off those columns, the surrogate of ``theta[columns]``."""
+        return SurrogateLoss(loss=self.loss.restrict(columns),
+                             anchor=self.anchor[columns],
+                             correction=self.correction[columns],
+                             pooled_grad_at_anchor=self.pooled_grad_at_anchor[columns])
+
 
 def build_surrogate(cluster: Cluster, anchor: np.ndarray) -> SurrogateLoss:
     """One gradient round at the anchor, then assemble the tilted loss of the

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from csl.cluster import Cluster
 from csl.datagen import derive_rng, gen_sparse_linear
 from csl.errors import DataError
 from csl.losses import DataShard, LossModel, ShardLoss
-from csl.sparse import (L1Settings, _noise_sd, averaging_lasso, csl_lasso,
+from csl.sparse import (L1Settings, _noise_sd, _stationarity_ok,
+                        _working_set_lasso, averaging_lasso, csl_lasso,
                         fista_l1, iterative_csl_lasso, lambda_heuristic,
                         local_lasso, soft_threshold)
+from csl.surrogate import build_surrogate
 
 from conftest import enumerate_lasso_d3
 
@@ -255,3 +258,145 @@ class TestAveragingLasso:
         averaging_lasso(cluster, lam=0.3)
         assert cluster.ledger.vectors_sent == 4
         assert cluster.ledger.rounds == 1
+
+
+def wide_shard(seed=43, n=80, d=200, s=5):
+    """A d > n linear shard with a planted sparse signal."""
+    shards, _ = gen_sparse_linear(d=d, n=n, k=1, s=s, sigma=0.5, seed_or_rng=seed)
+    return shards[0]
+
+
+def zero_off(columns, d, rng):
+    theta = np.zeros(d)
+    theta[columns] = rng.normal(size=len(columns))
+    return theta
+
+
+def assert_restriction_matches(loss, columns, theta):
+    full = loss.eval(theta, 1)
+    part = loss.restrict(columns).eval(theta[columns], 1)
+    assert part[0] == pytest.approx(full[0], rel=1e-12)
+    np.testing.assert_allclose(part[1], full[1][columns], rtol=1e-12,
+                               atol=1e-12 * np.abs(full[1]).max())
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("model", [LossModel.linear(), LossModel.logistic()],
+                             ids=["linear", "logistic"])
+    def test_shard_loss_on_columns_matches_the_full_loss(self, model):
+        rng = derive_rng(47, "restrict", model.family)
+        x = rng.normal(size=(60, 25))
+        y = (rng.random(60) < 0.5).astype(float) if model.link else rng.normal(size=60)
+        loss = ShardLoss(model, DataShard(x=x, y=y))
+        columns = np.array([0, 3, 4, 11, 24])
+        assert_restriction_matches(loss, columns, zero_off(columns, 25, rng))
+
+    def test_surrogate_on_columns_matches_the_full_surrogate(self):
+        cluster, _ = sparse_cluster(k=4)
+        rng = derive_rng(53, "restrict-surrogate")
+        surr = build_surrogate(cluster, 0.1 * rng.normal(size=cluster.d))
+        columns = np.array([1, 2, 7, 30, 39])
+        restricted = surr.restrict(columns)
+        np.testing.assert_array_equal(restricted.anchor, surr.anchor[columns])
+        assert_restriction_matches(surr, columns, zero_off(columns, cluster.d, rng))
+
+
+class TestWorkingSet:
+    tight = L1Settings(tol=1e-12)
+
+    def assert_same_fit(self, fit, full):
+        np.testing.assert_array_equal(fit.support, full.support)
+        np.testing.assert_allclose(fit.theta, full.theta, atol=1e-6)
+
+    def test_wide_shard_matches_full_column_fista(self):
+        shard = wide_shard()
+        loss = ShardLoss(LossModel.linear(), shard)
+        for lam in (0.1, 0.3):
+            fit = local_lasso(LossModel.linear(), shard, lam=lam, settings=self.tight)
+            full = fista_l1(loss.eval, lam, np.zeros(shard.n_features), self.tight)
+            assert 0 < fit.sparsity < shard.n_samples
+            self.assert_same_fit(fit, full)
+
+    def test_surrogate_matches_full_column_fista(self):
+        cluster, _ = sparse_cluster(k=4)
+        anchor = local_lasso(cluster.model, cluster.shards[0], lam=0.2).theta
+        lam = 0.1
+        fit = csl_lasso(cluster, anchor=anchor, lam=lam, settings=self.tight)
+        full = fista_l1(build_surrogate(cluster, anchor).eval, lam, anchor,
+                        self.tight)
+        self.assert_same_fit(fit, full)
+
+    def test_converged_fits_pass_the_full_gradient_check(self):
+        shard = wide_shard(seed=59)
+        loss = ShardLoss(LossModel.linear(), shard)
+        cluster, _ = sparse_cluster(k=4, seed=61)
+        anchor = local_lasso(cluster.model, cluster.shards[0], lam=0.2).theta
+        surr = build_surrogate(cluster, anchor)
+        cases = [(loss, lam, local_lasso(loss.model, shard, lam=lam))
+                 for lam in (0.05, 0.2, 0.8)]
+        cases += [(surr, lam, csl_lasso(cluster, anchor=anchor, lam=lam))
+                  for lam in (0.05, 0.2)]
+        for objective, lam, fit in cases:
+            assert fit.converged
+            grad = objective.eval(fit.theta, 1)[1]
+            assert _stationarity_ok(grad, fit.theta, lam, 10.0 * L1Settings().tol)
+
+    def test_budget_exhaustion_is_flagged_not_raised(self):
+        shard = wide_shard()
+        settings = L1Settings(max_iters=3)
+        fit = local_lasso(LossModel.linear(), shard, lam=0.1, settings=settings)
+        assert not fit.converged
+        assert 1 <= fit.iterations <= 3
+        calibrated = local_lasso(LossModel.linear(), shard, settings=settings)
+        assert not calibrated.converged and calibrated.iterations <= 3
+
+    def test_penalty_above_the_gradient_at_zero_gives_exact_zero(self):
+        shard = wide_shard()
+        loss = ShardLoss(LossModel.linear(), shard)
+        lam = 1.01 * float(np.abs(loss.eval(np.zeros(shard.n_features), 1)[1]).max())
+        fit = local_lasso(LossModel.linear(), shard, lam=lam)
+        np.testing.assert_array_equal(fit.theta, np.zeros(shard.n_features))
+        assert fit.converged and fit.support.size == 0
+        # from a dense start the passes must shrink every coordinate away
+        cluster, _ = sparse_cluster(k=4)
+        surr = build_surrogate(cluster, np.full(cluster.d, 0.3))
+        huge = 1.01 * float(np.abs(surr.eval(np.zeros(cluster.d), 1)[1]).max())
+        fit = csl_lasso(cluster, anchor=np.full(cluster.d, 0.3), lam=huge)
+        np.testing.assert_array_equal(fit.theta, np.zeros(cluster.d))
+        assert fit.converged and fit.iterations >= 1
+
+    def test_a_check_that_fails_on_the_set_by_rounding_cannot_spin(self):
+        # The full gradient disagrees with the restricted one on an active
+        # column by more than the slack, as rounding could make it do: every
+        # pass converges on the set and fails the full check there, with no
+        # column outside to add. The passes must stay on the same set and end
+        # unconverged once the budget is spent.
+        shard, _ = small_design()
+        loss = ShardLoss(LossModel.linear(), shard)
+        calls, sets = [], []
+
+        class Skewed:
+            def eval(self, theta, order):
+                out = loss.eval(theta, order)
+                if order == 0:
+                    return out
+                grad = out[1].copy()
+                grad[0] += 1e-3
+                return out[0], grad
+
+            def restrict(self, columns):
+                sets.append(columns.tolist())
+                inner = loss.restrict(columns)
+
+                def counting(theta, order):
+                    calls.append(order)
+                    return inner.eval(theta, order)
+                return SimpleNamespace(eval=counting)
+
+        settings = L1Settings(max_iters=40)
+        fit = _working_set_lasso(Skewed(), 0.1, np.zeros(3), settings)
+        assert not fit.converged
+        assert fit.iterations == settings.max_iters
+        assert len(sets) >= 2 and all(w == sets[0] for w in sets)
+        assert len(sets) <= settings.max_iters
+        assert len(calls) <= 20 * settings.max_iters

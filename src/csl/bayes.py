@@ -18,7 +18,6 @@ import numpy as np
 from .cluster import Cluster
 from .errors import CslError, DataError
 from .estimators import ONE_STEP, ilea, subsample_estimator
-from .solvers import SolverSettings
 from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
@@ -100,36 +99,28 @@ class Chain:
 @dataclass(frozen=True)
 class McmcSettings:
     iters: int = 20000
-    proposal_scale: float | None = None
     seed: int = 0
-    burn_in: int | None = None
 
     def __post_init__(self):
         if self.iters < 2:
             raise DataError("iters must be >= 2")
-        if self.proposal_scale is not None and not (self.proposal_scale > 0.0):
-            raise DataError("proposal_scale must be positive")
-        if self.burn_in is not None and not (0 <= self.burn_in < self.iters):
-            raise DataError("burn_in must be in [0, iters)")
 
 
 def metropolis(log_target: Callable[[np.ndarray], float], theta0: np.ndarray,
-               proposal_scale: float, iters: int, seed: int = 0,
-               burn_in: int | None = None) -> Chain:
+               proposal_scale: float, iters: int, seed: int = 0) -> Chain:
     """Random-walk Metropolis with an isotropic Gaussian proposal.
 
     Each iteration draws the proposal noise and the acceptance uniform in
     that fixed order regardless of the outcome, so a seed pins the whole
     trajectory. Acceptance is decided in log space; a log-density gain is
-    accepted outright. burn_in defaults to half the iterations.
+    accepted outright. The first ``iters // 2`` rows are burn-in; slice
+    ``samples`` for another split.
     """
     theta = np.array(theta0, dtype=np.float64)
     d = theta.shape[0]
     current = float(log_target(theta))
     if not math.isfinite(current):
         raise DataError("theta0 has non-finite log target")
-    if burn_in is None:
-        burn_in = iters // 2
     rng = np.random.default_rng(seed)
     normal, uniform = rng.standard_normal, rng.random
     log, isnan = math.log, math.isnan
@@ -150,7 +141,7 @@ def metropolis(log_target: Callable[[np.ndarray], float], theta0: np.ndarray,
             accepted[t] = True
         samples[t] = theta
     return Chain(samples=samples, accepted=accepted,
-                 proposal_scale=float(proposal_scale), burn_in=burn_in, seed=seed)
+                 proposal_scale=float(proposal_scale), burn_in=iters // 2, seed=seed)
 
 
 def surrogate_log_posterior(s: SurrogateLoss, prior: Prior, theta: np.ndarray,
@@ -192,34 +183,31 @@ class CslBayesResult:
 
 
 def run_csl_bayes(cluster: Cluster, prior: Prior,
-                  mcmc: McmcSettings = McmcSettings(), init_rounds: int = 3,
-                  solver: SolverSettings = SolverSettings()) -> CslBayesResult:
+                  mcmc: McmcSettings = McmcSettings(), init_rounds: int = 3
+                  ) -> CslBayesResult:
     """End-to-end surrogate-posterior sampling.
 
     The anchor is produced communication-free on the coordinator's shard and
     sharpened by init_rounds one-step refits; the final surrogate build adds
     one more gradient round, for 2*(init_rounds + 1)*(k-1) vectors total.
-    The default proposal scale is 2.4 / sqrt(d * N * hbar) with hbar the mean
-    diagonal curvature at the anchor, a normal-approximation step size.
+    Proposals are autoscaled to 2.4 / sqrt(d * N * hbar) with hbar the mean
+    diagonal curvature at the anchor, a normal-approximation step size; the
+    first half of the chain is burn-in.
     """
     vectors_start = cluster.ledger.vectors_sent
-    start = subsample_estimator(cluster, solver)
-    anchor = ilea(cluster, start, rounds=init_rounds, mode=ONE_STEP,
-                  settings=solver).final
+    start = subsample_estimator(cluster)
+    anchor = ilea(cluster, start, rounds=init_rounds, mode=ONE_STEP).final
     surr = build_surrogate(cluster, anchor)
     n_total = cluster.n_total
-    scale = mcmc.proposal_scale
-    if scale is None:
-        hbar = float(np.mean(np.diag(surr.loss.eval(anchor, 2)[2])))
-        if hbar <= 0.0:
-            raise DataError("cannot autoscale proposals: nonpositive curvature")
-        scale = 2.4 / math.sqrt(cluster.d * n_total * hbar)
+    hbar = float(np.mean(np.diag(surr.loss.eval(anchor, 2)[2])))
+    if hbar <= 0.0:
+        raise DataError("cannot autoscale proposals: nonpositive curvature")
+    scale = 2.4 / math.sqrt(cluster.d * n_total * hbar)
 
     def log_target(theta):
         return surrogate_log_posterior(surr, prior, theta, n_total)
 
-    chain = metropolis(log_target, anchor, scale, mcmc.iters, seed=mcmc.seed,
-                       burn_in=mcmc.burn_in)
+    chain = metropolis(log_target, anchor, scale, mcmc.iters, seed=mcmc.seed)
     return CslBayesResult(chain=chain, anchor=anchor, surrogate=surr,
                           vectors_spent=cluster.ledger.vectors_sent - vectors_start)
 

@@ -188,7 +188,7 @@ class Cluster:
                               ) -> list[np.ndarray]:
         """Each worker minimizes its own shard loss from zero; k-1 reply vectors.
 
-        Over tcp the request carries all four solver settings, so remote fits
+        Over tcp the request carries both solver settings, so remote fits
         run exactly as in-process ones do.
         """
         start = np.zeros(self.d)

@@ -47,11 +47,9 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def gen_logistic(d: int, n_total: int, seed_or_rng,
-                 theta_star: np.ndarray | None = None
-                 ) -> tuple[DataShard, np.ndarray]:
-    """Binary-response data: theta* uniform on [0,1]^d unless given, standard
-    normal design, labels Bernoulli(sigmoid(x @ theta*)).
+def gen_logistic(d: int, n_total: int, seed_or_rng) -> tuple[DataShard, np.ndarray]:
+    """Binary-response data: theta* uniform on [0,1]^d, standard normal
+    design, labels Bernoulli(sigmoid(x @ theta*)). Returns (data, theta*).
 
     Draw order is fixed (theta*, then the design, then the label uniforms) so
     a seed pins the dataset bytes exactly.
@@ -59,12 +57,7 @@ def gen_logistic(d: int, n_total: int, seed_or_rng,
     if d < 1 or n_total < 1:
         raise DataError("d and n_total must be >= 1")
     rng = _as_rng(seed_or_rng)
-    if theta_star is None:
-        theta_star = rng.uniform(0.0, 1.0, size=d)
-    else:
-        theta_star = np.asarray(theta_star, dtype=np.float64)
-        if theta_star.shape != (d,):
-            raise DataError(f"theta_star must have shape ({d},)")
+    theta_star = rng.uniform(0.0, 1.0, size=d)
     x = rng.standard_normal((n_total, d))
     probs = sigmoid(x @ theta_star)
     y = (rng.uniform(size=n_total) < probs).astype(np.float64)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import CslError, DataError, SingularHessianError
-from .solvers import SolverSettings, newton_minimize
+from .solvers import newton_minimize
 from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
@@ -31,12 +31,9 @@ ONE_STEP = "one_step"
 _MIN_CURVATURE = 1e-10
 
 
-def minimize_surrogate(s: SurrogateLoss, theta0: np.ndarray | None = None,
-                       settings: SolverSettings = SolverSettings()) -> np.ndarray:
-    """Newton-minimize the tilted local loss; starts at the anchor by default."""
-    if theta0 is None:
-        theta0 = s.anchor
-    return newton_minimize(s.eval, theta0, settings)
+def minimize_surrogate(s: SurrogateLoss) -> np.ndarray:
+    """Newton-minimize the tilted local loss from its anchor."""
+    return newton_minimize(s.eval, s.anchor)
 
 
 def one_step_update(s: SurrogateLoss) -> np.ndarray:
@@ -79,8 +76,7 @@ class IleaTrajectory:
 
 
 def ilea(cluster: Cluster, theta0: np.ndarray | None = None, rounds: int = 3,
-         mode: str = ONE_STEP,
-         settings: SolverSettings = SolverSettings()) -> IleaTrajectory:
+         mode: str = ONE_STEP) -> IleaTrajectory:
     """Iterate surrogate builds from theta0: each round is one gradient round
     (2*(k-1) vectors) followed by a purely local solve.
 
@@ -96,7 +92,7 @@ def ilea(cluster: Cluster, theta0: np.ndarray | None = None, rounds: int = 3,
         raise DataError(f"unknown mode {mode!r}; use {EXACT_SURROGATE!r} or {ONE_STEP!r}")
     vectors_start = cluster.ledger.vectors_sent
     if theta0 is None:
-        theta0 = averaging_estimator(cluster, settings)
+        theta0 = averaging_estimator(cluster)
     theta = np.array(theta0, dtype=np.float64)
     iterates = [theta.copy()]
     for t in range(1, rounds + 1):
@@ -105,7 +101,7 @@ def ilea(cluster: Cluster, theta0: np.ndarray | None = None, rounds: int = 3,
             if mode == ONE_STEP:
                 theta = one_step_update(surr)
             else:
-                theta = minimize_surrogate(surr, settings=settings)
+                theta = minimize_surrogate(surr)
         except CslError as exc:
             annotated = type(exc)(f"round {t}: {exc}")
             annotated.__dict__.update(exc.__dict__)
@@ -115,19 +111,17 @@ def ilea(cluster: Cluster, theta0: np.ndarray | None = None, rounds: int = 3,
                           vectors_spent=cluster.ledger.vectors_sent - vectors_start)
 
 
-def averaging_estimator(cluster: Cluster,
-                        settings: SolverSettings = SolverSettings()) -> np.ndarray:
+def averaging_estimator(cluster: Cluster) -> np.ndarray:
     """Mean of the k local fits, folded in worker order; one local-minimizer
     round on the ledger (k-1 vectors)."""
-    fits = cluster.local_minimizer_round(settings)
+    fits = cluster.local_minimizer_round()
     acc = np.zeros(cluster.d)
     for fit in fits:
         acc += fit
     return acc / cluster.k
 
 
-def subsample_estimator(cluster: Cluster,
-                        settings: SolverSettings = SolverSettings()) -> np.ndarray:
+def subsample_estimator(cluster: Cluster) -> np.ndarray:
     """Fit on the coordinator's own shard only; costs no communication."""
-    return newton_minimize(cluster.losses[0].eval, np.zeros(cluster.d), settings)
+    return newton_minimize(cluster.losses[0].eval, np.zeros(cluster.d))
 

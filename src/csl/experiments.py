@@ -31,7 +31,7 @@ from .errors import ConfigError, CslError, DataError
 from .estimators import ONE_STEP, averaging_estimator, ilea, subsample_estimator
 from .inference import confidence_intervals, sigma_cross, sigma_local
 from .losses import LossModel
-from .solvers import SolverSettings, minimize_shard_loss
+from .solvers import minimize_shard_loss
 from .sparse import L1Settings, averaging_lasso, csl_lasso, lambda_heuristic, local_lasso
 from .surrogate import build_surrogate
 
@@ -192,25 +192,23 @@ def _sq_error(theta: np.ndarray, theta_star: np.ndarray) -> float:
 
 def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                 trial: int, emit) -> None:
-    solver = SolverSettings()
     ledger0 = cluster.ledger.copy()
-    theta_global = minimize_shard_loss(cluster.model, cluster.pooled_shard(meter=True), solver)
+    theta_global = minimize_shard_loss(cluster.model, cluster.pooled_shard(meter=True))
     emit("global", "sq_error", _sq_error(theta_global, theta_star))
     emit("global", "samples_moved", cluster.ledger.samples_moved - ledger0.samples_moved)
     emit("global", "vectors_sent", 0)
 
-    theta_sub = subsample_estimator(cluster, solver)
+    theta_sub = subsample_estimator(cluster)
     emit("subsample", "sq_error", _sq_error(theta_sub, theta_star))
     emit("subsample", "vectors_sent", 0)
 
     ledger0 = cluster.ledger.copy()
-    theta_avg = averaging_estimator(cluster, solver)
+    theta_avg = averaging_estimator(cluster)
     averaging_cost = cluster.ledger.vectors_sent - ledger0.vectors_sent
     emit("averaging", "sq_error", _sq_error(theta_avg, theta_star))
     emit("averaging", "vectors_sent", averaging_cost)
 
-    trajectory = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP,
-                      settings=solver)
+    trajectory = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP)
     per_round = trajectory.vectors_spent // max(1, trajectory.rounds)
     for t in range(1, trajectory.rounds + 1):
         emit(f"csl_{t}", "sq_error", _sq_error(trajectory.iterates[t], theta_star))
@@ -219,10 +217,8 @@ def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarr
 
 def _coverage_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                     trial: int, emit) -> None:
-    solver = SolverSettings()
-    theta_avg = averaging_estimator(cluster, solver)
-    center = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP,
-                  settings=solver).final
+    theta_avg = averaging_estimator(cluster)
+    center = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP).final
     emit("csl", "sq_error", _sq_error(center, theta_star))
 
     surr = build_surrogate(cluster, center)

@@ -21,10 +21,7 @@ from .errors import DataError
 
 __all__ = [
     "DataShard",
-    "Link",
     "LossModel",
-    "LOGIT_LINK",
-    "POISSON_LINK",
     "ShardLoss",
     "shard_to_csv",
     "sigmoid",
@@ -86,23 +83,12 @@ class Link:
     nonnegative_response: bool = False
 
 
-LOGIT_LINK = Link(
-    name="logit",
-    phi=softplus,
-    phi_prime=sigmoid,
-    phi_double=_logistic_weight,
-    binary_response=True,
-)
-
-POISSON_LINK = Link(
-    name="log",
-    phi=_exp,
-    phi_prime=_exp,
-    phi_double=_exp,
-    nonnegative_response=True,
-)
-
-_LINKS = {"logit": LOGIT_LINK, "log": POISSON_LINK}
+_LINKS = {
+    "logit": Link(name="logit", phi=softplus, phi_prime=sigmoid,
+                  phi_double=_logistic_weight, binary_response=True),
+    "log": Link(name="log", phi=_exp, phi_prime=_exp, phi_double=_exp,
+                nonnegative_response=True),
+}
 
 
 @dataclass(frozen=True)
@@ -119,20 +105,18 @@ class LossModel:
 
     @classmethod
     def logistic(cls) -> "LossModel":
-        return cls(family="logistic", link=LOGIT_LINK)
+        return cls(family="logistic", link=_LINKS["logit"])
 
     @classmethod
     def linear(cls) -> "LossModel":
         return cls(family="linear", link=None)
 
     @classmethod
-    def glm(cls, link: Link | str) -> "LossModel":
-        if isinstance(link, str):
-            try:
-                link = _LINKS[link]
-            except KeyError:
-                raise DataError(f"unknown link {link!r}; known: {sorted(_LINKS)}")
-        return cls(family=f"glm-{link.name}", link=link)
+    def glm(cls, link: str) -> "LossModel":
+        """The canonical GLM with link "logit" or "log" (Poisson)."""
+        if link not in _LINKS:
+            raise DataError(f"unknown link {link!r}; known: {sorted(_LINKS)}")
+        return cls(family=f"glm-{link}", link=_LINKS[link])
 
     def validate_response(self, y: np.ndarray) -> None:
         if self.link is not None and self.link.binary_response:

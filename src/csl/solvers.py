@@ -26,20 +26,18 @@ _MIN_STEP = 1e-20
 # Levenberg damping grows from _TAU0 by doubling; give up past _TAU_MAX.
 _TAU0 = 1e-8
 _TAU_MAX = 1e10
+# Backtracking halves the step until f(x + t*p) <= f + _ARMIJO_C*t*<g, p>.
+_SHRINK = 0.5
+_ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Newton solver knobs.
-
-    grad_tol is a sup-norm threshold on the gradient. backtrack_shrink and
-    armijo_c parameterize the line search ``f(x + t*p) <= f + c*t*<g, p>``.
-    """
+    """Newton stopping rule: a sup-norm threshold on the gradient and an
+    iteration budget. Both travel in a local-min request."""
 
     grad_tol: float = 1e-8
     max_iters: int = 100
-    backtrack_shrink: float = 0.5
-    armijo_c: float = 1e-4
 
     def __post_init__(self):
         if not (0.0 < self.grad_tol):
@@ -47,10 +45,6 @@ class SolverSettings:
         # The local-min request carries max_iters as an unsigned 32-bit field.
         if not (1 <= self.max_iters < 2 ** 32):
             raise DataError("max_iters must be in [1, 2**32)")
-        if not (0.0 < self.backtrack_shrink < 1.0):
-            raise DataError("backtrack_shrink must be in (0, 1)")
-        if not (0.0 < self.armijo_c < 0.5):
-            raise DataError("armijo_c must be in (0, 0.5)")
 
 
 def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -104,9 +98,9 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
         while True:
             candidate = theta + t * p
             cand_value = objective(candidate, 0)[0]
-            if np.isfinite(cand_value) and cand_value <= value + settings.armijo_c * t * slope:
+            if np.isfinite(cand_value) and cand_value <= value + _ARMIJO_C * t * slope:
                 break
-            t *= settings.backtrack_shrink
+            t *= _SHRINK
             if t < _MIN_STEP:
                 raise NonConvergenceError(
                     f"line search stalled at iteration {iteration}",
@@ -123,9 +117,7 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
 
 
 def minimize_shard_loss(model: LossModel, shard: DataShard,
-                        settings: SolverSettings = SolverSettings(),
-                        theta0: np.ndarray | None = None) -> np.ndarray:
-    """Local maximum-likelihood fit on one shard, started at zero by default."""
-    if theta0 is None:
-        theta0 = np.zeros(shard.n_features)
-    return newton_minimize(ShardLoss(model, shard).eval, theta0, settings)
+                        settings: SolverSettings = SolverSettings()) -> np.ndarray:
+    """Local maximum-likelihood fit on one shard, started at zero."""
+    return newton_minimize(ShardLoss(model, shard).eval, np.zeros(shard.n_features),
+                           settings)

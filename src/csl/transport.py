@@ -5,13 +5,14 @@ unsigned payload length, then the payload. Data travel in one encoding, raw
 ``<f8`` bytes from one encoder: a parameter vector as its d floats, and a shard
 as its shape ``<II`` (n, d) followed by y and then x row by row, which
 round-trips float64 exactly. A reply vector must hold exactly the d floats of
-the loaded shard. A local-min request carries the four SolverSettings fields
-packed as ``<dIdd``.
+the loaded shard. A local-min request carries the two SolverSettings fields
+packed as ``<dI`` (grad_tol, max_iters).
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import socket
 import struct
 import threading
@@ -38,8 +39,7 @@ OP_ERROR = 0x7F
 
 _HEADER = struct.Struct("<BI")
 _SHAPE = struct.Struct("<II")  # n, d of a shard payload
-# grad_tol, max_iters, backtrack_shrink, armijo_c
-_SETTINGS = struct.Struct("<dIdd")
+_SETTINGS = struct.Struct("<dI")  # the SolverSettings fields, in order
 _MAX_PAYLOAD = 1 << 31  # sanity bound, far above anything this package sends
 
 
@@ -98,10 +98,11 @@ def _decode_shard(payload: bytes) -> DataShard:
 class WorkerServer:
     """One remote worker: holds a shard, serves gradient and local-fit requests.
 
-    Connections are handled one at a time. A SHUTDOWN frame stops the server;
-    a request that fails (no shard loaded, solver failure, unknown opcode) gets
-    an error frame back and the connection is dropped, but the server keeps
-    accepting.
+    Connections are handled one at a time. A SHUTDOWN frame stops the server.
+    A request that fails (no shard loaded, solver failure, unknown opcode) gets
+    an error frame back and the connection keeps serving, since frames are
+    length-delimited. A connection that breaks, mid-frame or while a reply is
+    sent, ends alone; the server keeps accepting.
     """
 
     def __init__(self, model: LossModel, host: str = "127.0.0.1", port: int = 0):
@@ -143,16 +144,17 @@ class WorkerServer:
         while not self._stop.is_set():
             try:
                 opcode, payload = read_frame(conn)
-            except (ConnectionError, OSError):
+            except OSError:  # ConnectionError included
                 return
             try:
                 reply = self._handle(opcode, payload)
             except Exception as exc:  # any failure becomes an error frame
-                with contextlib.suppress(OSError):
-                    conn.sendall(pack_frame(OP_ERROR, str(exc).encode("utf-8")))
-                return
+                reply = pack_frame(OP_ERROR, str(exc).encode("utf-8"))
             if reply is not None:
-                conn.sendall(reply)
+                try:
+                    conn.sendall(reply)
+                except OSError:
+                    return
             if opcode == OP_SHUTDOWN:
                 self._stop.set()
                 return
@@ -228,9 +230,7 @@ class WorkerClient:
         return self._expect_vector(OP_GRAD_REPLY)
 
     def send_local_min_request(self, settings: SolverSettings) -> None:
-        self._send(OP_LOCAL_MIN_REQ, _SETTINGS.pack(
-            settings.grad_tol, settings.max_iters, settings.backtrack_shrink,
-            settings.armijo_c))
+        self._send(OP_LOCAL_MIN_REQ, _SETTINGS.pack(*dataclasses.astuple(settings)))
 
     def recv_local_min(self) -> np.ndarray:
         return self._expect_vector(OP_LOCAL_MIN_REPLY)

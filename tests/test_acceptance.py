@@ -125,7 +125,7 @@ def test_criterion_03_derivatives_match_finite_differences(capfd):
             u = x @ theta_data
             if model.family == "linear":
                 y = u + rng.normal(size=n)
-            elif model.family == "glm" and model.link.name == "log":
+            elif model.family == "glm-log":
                 y = rng.poisson(np.exp(np.clip(u, -10, 10))).astype(float)
             else:
                 y = (rng.uniform(size=n) < 1 / (1 + np.exp(-u))).astype(float)

@@ -56,8 +56,9 @@ def test_start_point_does_not_change_answer():
     y = (rng.uniform(size=150) < 0.5).astype(float)
     shard = DataShard(x=x, y=y)
     model = LossModel.logistic()
-    a = minimize_shard_loss(model, shard, theta0=np.zeros(4))
-    b = minimize_shard_loss(model, shard, theta0=np.full(4, 2.0))
+    loss = ShardLoss(model, shard)
+    a = newton_minimize(loss.eval, np.zeros(4))
+    b = newton_minimize(loss.eval, np.full(4, 2.0))
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-7)
 
 
@@ -138,14 +139,6 @@ class TestSettingsValidation:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DataError):
             SolverSettings(grad_tol=0.0)
-
-    def test_rejects_bad_shrink(self):
-        with pytest.raises(DataError):
-            SolverSettings(backtrack_shrink=1.0)
-
-    def test_rejects_bad_armijo(self):
-        with pytest.raises(DataError):
-            SolverSettings(armijo_c=0.7)
 
     def test_max_iters_bounded_by_the_wire_field(self):
         with pytest.raises(DataError):

@@ -10,7 +10,7 @@ from csl import transport
 from csl.cluster import Cluster
 from csl.datagen import gen_logistic
 from csl.errors import DataError, NonConvergenceError, WorkerError
-from csl.losses import DataShard, LossModel
+from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import SolverSettings, minimize_shard_loss
 from csl.transport import (OP_ERROR, OP_EVAL_GRAD, OP_GRAD_REPLY, OP_LOAD_SHARD,
                            OP_LOCAL_MIN_REPLY, OP_LOCAL_MIN_REQ, WorkerClient,
@@ -99,18 +99,21 @@ class TestWorkerProtocol:
             client.recv_gradient()
         client.close()
 
-    def test_unknown_opcode_gets_error_frame_and_close(self, worker):
-        sock = socket.create_connection(worker.address, timeout=10)
+    def test_unknown_opcode_gets_error_frame_and_connection_serves_on(self, worker):
+        client = WorkerClient(worker.address, worker_index=2, timeout=10)
         try:
-            sock.sendall(pack_frame(0x42, b""))
-            opcode, payload = read_frame(sock)
+            client._send(0x42, b"\x00" * 5)
+            opcode, payload = read_frame(client._sock)
             assert opcode == OP_ERROR
             assert b"unknown opcode" in payload
-            # server should close its side afterwards
-            sock.settimeout(5.0)
-            assert sock.recv(1) == b""
+            shard = make_shard(seed=3)
+            client.load_shard(shard)
+            theta = np.array([0.5, 0.25, -1.0])
+            client.send_gradient_request(theta)
+            local = ShardLoss(LossModel.logistic(), shard).gradient(theta)
+            assert client.recv_gradient().tobytes() == local.tobytes()
         finally:
-            sock.close()
+            client.close()
 
     def test_malformed_shard_payload_gets_error_frame(self, worker):
         cases = [
@@ -119,13 +122,37 @@ class TestWorkerProtocol:
             (struct.pack("<II", 1, 1) + np.array([0.0, np.inf]).tobytes(), "non-finite"),
             (struct.pack("<II", 1, 1) + np.array([0.5, 1.0]).tobytes(), "labels in {0, 1}"),
         ]
-        for payload, message in cases:
-            # each error frame drops the connection, so each case has its own
-            with socket.create_connection(worker.address, timeout=10) as sock:
+        # an error frame leaves the connection open, so one serves every case
+        with socket.create_connection(worker.address, timeout=10) as sock:
+            for payload, message in cases:
                 sock.sendall(pack_frame(OP_LOAD_SHARD, payload))
                 opcode, reply = read_frame(sock)
                 assert opcode == OP_ERROR
                 assert message in reply.decode("utf-8")
+
+    def test_client_reset_mid_request_leaves_the_worker_serving(self, worker):
+        # The client resets its socket while the worker computes a gradient on
+        # a large shard, so the reply meets a reset connection. Only that
+        # connection may end; the next client is served.
+        gone = WorkerClient(worker.address, worker_index=2, timeout=10)
+        gone.load_shard(make_shard(seed=4, n=200_000))
+        gone.send_gradient_request(np.zeros(3))
+        gone.recv_gradient()  # the shard is loaded
+        gone.send_gradient_request(np.zeros(3))
+        gone._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                              struct.pack("ii", 1, 0))
+        gone.close()
+        client = WorkerClient(worker.address, worker_index=2, timeout=5)
+        try:
+            small = make_shard(seed=5)
+            client.load_shard(small)
+            theta = np.array([0.25, -0.5, 1.0])
+            client.send_gradient_request(theta)
+            local = ShardLoss(LossModel.logistic(), small).gradient(theta)
+            assert client.recv_gradient().tobytes() == local.tobytes()
+        finally:
+            client.close()
+        assert worker._thread.is_alive()
 
 
 class TestTcpCluster:
@@ -162,8 +189,8 @@ class TestTcpCluster:
             with pytest.raises(WorkerError, match="no convergence") as info:
                 over_tcp.local_minimizer_round(strict)
             assert info.value.worker == 2
-        tuned = SolverSettings(grad_tol=1e-12, max_iters=40, backtrack_shrink=0.3,
-                               armijo_c=0.25)
+        tuned = SolverSettings(grad_tol=1e-12, max_iters=40)
+        assert transport._SETTINGS.size == 12  # grad_tol <f8, max_iters <u4
         with Cluster.from_pooled(model, x, y, 3, transport="tcp") as over_tcp:
             fits_tcp = over_tcp.local_minimizer_round(tuned)
         fits_plain = Cluster.from_pooled(model, x, y, 3).local_minimizer_round(tuned)
@@ -331,6 +358,12 @@ class TestFailedRoundsKeepTcpInStep:
             third.send_gradient_request(theta)
             local = over_tcp.losses[2].gradient(theta)
             assert third.recv_gradient().tobytes() == local.tobytes()
+            # worker 2 answered with an error frame and serves on
+            plain = Cluster.from_pooled(model, x, y, 3)
+            g_tcp, locals_tcp = over_tcp.gradient_round(theta)
+            g_plain, locals_plain = plain.gradient_round(theta)
+            assert g_tcp.tobytes() == g_plain.tobytes()
+            assert locals_tcp[1].tobytes() == locals_plain[1].tobytes()
 
 
 class FakeWorker:

@@ -20,7 +20,7 @@ from .experiments import (ExperimentConfig, RunResult, config_from_mapping,
 from .inference import (ConfidenceIntervals, confidence_intervals, normal_quantile,
                         sandwich, sigma_cross, sigma_global, sigma_local)
 from .losses import DataShard, LossModel, ShardLoss, shard_to_csv
-from .solvers import SolverSettings, minimize_shard_loss, newton_minimize
+from .solvers import SolverSettings, local_fit, minimize_shard_loss, newton_minimize
 from .sparse import (L1Settings, SparseEstimate, averaging_lasso, csl_lasso, fista_l1,
                      iterative_csl_lasso, lambda_heuristic, local_lasso, soft_threshold)
 from .surrogate import SurrogateLoss, build_surrogate

@@ -165,11 +165,8 @@ def full_log_posterior(cluster: Cluster, prior: Prior, theta: np.ndarray,
     logp = prior.log_density(theta)
     if logp == -math.inf:
         return -math.inf
-    values = cluster.local_loss_values(theta)
-    acc = 0.0
-    for v in values:
-        acc += v
-    return -float(n_total) * (acc / cluster.k) + logp
+    mean_loss = cluster.average([loss.eval(theta, 0)[0] for loss in cluster.losses])
+    return -float(n_total) * mean_loss + logp
 
 
 @dataclass

@@ -5,9 +5,11 @@ The ledger counts d-dimensional vector payloads crossing machine boundaries:
 
 * gradient round: broadcast theta to workers 2..k and collect their replies,
   2*(k-1) vectors;
-* local-minimizer round: requests carry only the solver settings, a few
-  scalars, so just the k-1 reply vectors count;
+* local-minimizer round: each worker runs :func:`~csl.solvers.local_fit`;
+  requests carry only the solver settings, so just the k-1 replies count;
 * at k=1 nothing crosses a boundary and the ledger does not move.
+
+Every mean over workers is :meth:`Cluster.average`, summed in worker order.
 
 Raw-sample movement (pooling all data on one machine for baselines) is metered
 separately in ``samples_moved`` rather than being converted into vectors.
@@ -17,12 +19,16 @@ Transport is "in_process" (default) or "tcp", in which case workers 2..k are
 protocol; each shard is placed on its worker once, as a raw float64 frame like
 every vector, and a failed round still reads every reply, so the next round
 starts in step. Shard contents are retained locally in both modes so that
-surrogate construction can evaluate local losses at the coordinator; each
-retained shard is bound to one :class:`~csl.losses.ShardLoss` evaluator.
+surrogate construction can evaluate local losses at the coordinator, and
+:meth:`Cluster.local_fit_round` runs other local fits (the lasso ones) on
+those copies, ledgered as a local-minimizer round; each retained shard is
+bound to one :class:`~csl.losses.ShardLoss` evaluator.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .losses import DataShard, LossModel, ShardLoss
-from .solvers import SolverSettings, newton_minimize
+from .solvers import SolverSettings, local_fit
 from .transport import WorkerClient, WorkerServer
 
 __all__ = ["CommLedger", "Cluster", "split_rows"]
@@ -179,10 +185,7 @@ class Cluster:
         else:
             locals_ = [loss.gradient(theta) for loss in self.losses]
         self._meter(2 * (self.k - 1))
-        acc = np.zeros(self.d)
-        for g in locals_:
-            acc += g
-        return acc / self.k, locals_
+        return self.average(locals_), locals_
 
     def local_minimizer_round(self, settings: SolverSettings = SolverSettings()
                               ) -> list[np.ndarray]:
@@ -191,15 +194,11 @@ class Cluster:
         Over tcp the request carries both solver settings, so remote fits
         run exactly as in-process ones do.
         """
-        start = np.zeros(self.d)
-
-        def fit(loss: ShardLoss) -> np.ndarray:
-            return newton_minimize(loss.eval, start, settings)
-
         if not self._clients:
-            return self.local_fit_round(fit)
+            return self.local_fit_round(lambda loss: local_fit(loss, settings))
         fits = self._exchange(lambda client: client.send_local_min_request(settings),
-                              lambda: fit(self.losses[0]), WorkerClient.recv_local_min)
+                              lambda: local_fit(self.losses[0], settings),
+                              WorkerClient.recv_local_min)
         self._meter(self.k - 1)
         return fits
 
@@ -210,10 +209,10 @@ class Cluster:
         self._meter(self.k - 1)
         return fits
 
-    def local_loss_values(self, theta: np.ndarray) -> list[float]:
-        """Per-shard loss values from the retained local copies (no ledger);
-        a diagnostic, not a protocol message."""
-        return [loss.eval(theta, 0)[0] for loss in self.losses]
+    def average(self, values: list):
+        """The mean of k per-worker values, summed in worker order from 0.0:
+        a fresh array for vectors, a Python float for floats."""
+        return functools.reduce(operator.add, values, 0.0) / self.k
 
     def pooled_shard(self, meter: bool = True) -> DataShard:
         """All samples on one machine, in worker order. Moves (k-1)*n raw

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import CslError, DataError, SingularHessianError
-from .solvers import newton_minimize
+from .solvers import local_fit, newton_minimize
 from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
@@ -114,14 +114,10 @@ def ilea(cluster: Cluster, theta0: np.ndarray | None = None, rounds: int = 3,
 def averaging_estimator(cluster: Cluster) -> np.ndarray:
     """Mean of the k local fits, folded in worker order; one local-minimizer
     round on the ledger (k-1 vectors)."""
-    fits = cluster.local_minimizer_round()
-    acc = np.zeros(cluster.d)
-    for fit in fits:
-        acc += fit
-    return acc / cluster.k
+    return cluster.average(cluster.local_minimizer_round())
 
 
 def subsample_estimator(cluster: Cluster) -> np.ndarray:
     """Fit on the coordinator's own shard only; costs no communication."""
-    return newton_minimize(cluster.losses[0].eval, np.zeros(cluster.d))
+    return local_fit(cluster.losses[0])
 

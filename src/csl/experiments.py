@@ -32,7 +32,7 @@ from .estimators import ONE_STEP, averaging_estimator, ilea, subsample_estimator
 from .inference import confidence_intervals, sigma_cross, sigma_local
 from .losses import LossModel
 from .solvers import minimize_shard_loss
-from .sparse import L1Settings, averaging_lasso, csl_lasso, lambda_heuristic, local_lasso
+from .sparse import averaging_lasso, csl_lasso, lambda_heuristic, local_lasso
 from .surrogate import build_surrogate
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "paper_presets",
 ]
 
-EXPERIMENTS = ("MestSweepN", "MestSweepK", "Coverage", "LassoFixedN",
-               "LassoFixedn", "Bayes")
 # The two lasso names differ only in the final letter's case, so aliasing is
 # exact-match plus these unambiguous longhands.
 _ALIASES = {
@@ -63,7 +61,7 @@ RUNTIME_METRICS = frozenset({"runtime_s"})
 class ExperimentConfig:
     experiment: str
     d: int
-    n_values: tuple[int, ...]
+    n_values: tuple[int, ...] = ()
     k_values: tuple[int, ...] = (16,)
     n_total: int | None = None
     trials: int = 10
@@ -88,8 +86,8 @@ class ExperimentConfig:
             object.__setattr__(self, "experiment", canonical)
         if self.d < 1 or self.trials < 1 or self.rounds < 1:
             raise ConfigError("d, trials and rounds must be >= 1")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("n must be a nonempty list of positive ints")
+        if any(n < 1 for n in self.n_values):
+            raise ConfigError("n must be a list of positive ints")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ConfigError("k must be a nonempty list of positive ints")
         if self.n_total is not None and self.n_total < 1:
@@ -152,15 +150,6 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
             kwargs[f.name] = parse(text)
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}")
-    if "n_values" not in kwargs:
-        canonical = _ALIASES.get(kwargs["experiment"].lower(), kwargs["experiment"])
-        n_total = kwargs.get("n_total")
-        if canonical == "LassoFixedN" and n_total:
-            # per-shard sizes are fully determined by the fixed total
-            ks = kwargs.get("k_values", _FIELDS["k"][0].default)
-            kwargs["n_values"] = tuple(dict.fromkeys(n_total // k for k in ks))
-        else:
-            raise ConfigError("config must set 'n' (one value or a comma list)")
     return ExperimentConfig(**kwargs)
 
 
@@ -256,7 +245,6 @@ def _refit_on_support(shard, theta: np.ndarray) -> np.ndarray:
 
 def _lasso_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                  trial: int, emit) -> None:
-    settings = L1Settings()
     n, k = cluster.n_per_shard, cluster.k
     # The generator's noise level is known here, so the penalty levels use it
     # directly, as the estimators' documented defaults would estimate it.
@@ -274,21 +262,18 @@ def _lasso_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndar
         emit(label, "vectors_sent", vectors)
 
     pooled = cluster.pooled_shard(meter=True)
-    emit_fit("global_lasso", local_lasso(cluster.model, pooled, lam=lam_global,
-                                         settings=settings), 0)
+    emit_fit("global_lasso", local_lasso(cluster.model, pooled, lam=lam_global), 0)
 
-    anchor_fit = local_lasso(cluster.model, cluster.shards[0], lam=lam_local,
-                             settings=settings)
+    anchor_fit = local_lasso(cluster.model, cluster.shards[0], lam=lam_local)
     emit_fit("subsample_lasso", anchor_fit, 0)
 
     anchor = _refit_on_support(cluster.shards[0], anchor_fit.theta)
     ledger0 = cluster.ledger.copy()
-    csl_fit = csl_lasso(cluster, anchor=anchor, lam=lam_global,
-                        settings=settings)
+    csl_fit = csl_lasso(cluster, anchor=anchor, lam=lam_global)
     emit_fit("csl_lasso", csl_fit, cluster.ledger.vectors_sent - ledger0.vectors_sent)
 
     ledger0 = cluster.ledger.copy()
-    avg_fit = averaging_lasso(cluster, lam=lam_local, settings=settings)
+    avg_fit = averaging_lasso(cluster, lam=lam_local)
     emit_fit("averaging_lasso", avg_fit,
              cluster.ledger.vectors_sent - ledger0.vectors_sent)
 
@@ -343,11 +328,14 @@ _DESIGNS = {
     "LassoFixedn": (_lasso_trial, None),
     "Bayes": (_bayes_trial, None),
 }
+EXPERIMENTS = tuple(_DESIGNS)
 
 
 def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int]]:
     """(n, k) grid for the experiment, honoring the fixed-total variants."""
     axis = _DESIGNS[config.experiment][1]
+    if axis != "k" and not config.n_values:
+        raise ConfigError(f"{config.experiment} needs n (one value or a comma list)")
     if axis is None:
         return [(n, k) for n in config.n_values for k in config.k_values]
     if config.n_total is None:
@@ -526,7 +514,7 @@ def desk_presets() -> dict[str, ExperimentConfig]:
             experiment="Coverage", d=5, n_values=(2 ** 11,), k_values=(16, 64),
             trials=200),
         "lasso_total_desk": ExperimentConfig(
-            experiment="LassoFixedN", d=1000, n_total=6400, n_values=(400,),
+            experiment="LassoFixedN", d=1000, n_total=6400,
             k_values=(1, 2, 4, 8, 16), trials=10, lam_scale=3.0),
         "lasso_shard_desk": ExperimentConfig(
             experiment="LassoFixedn", d=1000, n_values=(400,),
@@ -550,7 +538,7 @@ def paper_presets() -> dict[str, ExperimentConfig]:
             experiment="Coverage", d=5, n_values=(2 ** 13,), k_values=(16, 64, 128),
             trials=1000),
         "lasso_total_paper": ExperimentConfig(
-            experiment="LassoFixedN", d=5000, n_total=25600, n_values=(800,),
+            experiment="LassoFixedN", d=5000, n_total=25600,
             k_values=(1, 2, 4, 8, 16, 32), trials=50, lam_scale=3.0),
         "lasso_shard_paper": ExperimentConfig(
             experiment="LassoFixedn", d=5000, n_values=(800,),

@@ -51,15 +51,22 @@ def sandwich(curvature: np.ndarray, middle: np.ndarray) -> np.ndarray:
     return 0.5 * (full + full.T)
 
 
+def _score_sandwich(loss: ShardLoss, theta: np.ndarray,
+                    shift: np.ndarray | float) -> np.ndarray:
+    """Sandwich of the loss Hessian at theta around the mean outer product of
+    the per-sample scores minus ``shift``."""
+    curvature = loss.eval(theta, 2)[2]
+    scores = loss.per_sample(theta) - shift
+    middle = scores.T @ scores / loss.shard.n_samples
+    return sandwich(curvature, middle)
+
+
 def sigma_global(cluster: Cluster, theta: np.ndarray) -> np.ndarray:
     """Pooled-data sandwich at theta. Moves all raw samples to the
     coordinator (metered in samples_moved); intended as the reference the
     communication-free estimates are judged against."""
-    pooled = ShardLoss(cluster.model, cluster.pooled_shard(meter=True))
-    curvature = pooled.eval(theta, 2)[2]
-    scores = pooled.per_sample(theta)
-    middle = scores.T @ scores / pooled.shard.n_samples
-    return sandwich(curvature, middle)
+    return _score_sandwich(ShardLoss(cluster.model, cluster.pooled_shard(meter=True)),
+                           theta, 0.0)
 
 
 def sigma_local(s: SurrogateLoss, theta: np.ndarray) -> np.ndarray:
@@ -68,10 +75,7 @@ def sigma_local(s: SurrogateLoss, theta: np.ndarray) -> np.ndarray:
     Scores are per-sample surrogate gradients: each sample's loss gradient
     minus the stored correction vector. No ledger activity.
     """
-    curvature = s.loss.eval(theta, 2)[2]
-    scores = s.loss.per_sample(theta) - s.correction
-    middle = scores.T @ scores / s.loss.shard.n_samples
-    return sandwich(curvature, middle)
+    return _score_sandwich(s.loss, theta, s.correction)
 
 
 def sigma_cross(cluster: Cluster, theta: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ The objective convention used across the package: ``objective(theta, order)``
 returns ``(value,)``, ``(value, gradient)`` or ``(value, gradient, hessian)``
 as ``float``, ``(d,)`` and ``(d, d)`` for order 0, 1 or 2.
 :meth:`ShardLoss.eval <csl.losses.ShardLoss.eval>` is such an objective. The
-line search asks for values only.
+line search asks for values only. :func:`local_fit` is the one local fit from
+zero: the in-process and tcp local-minimizer rounds, the subsample estimator
+and :func:`minimize_shard_loss` all run it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import DataError, NonConvergenceError
 from .losses import DataShard, LossModel, ShardLoss
 
-__all__ = ["SolverSettings", "newton_minimize", "minimize_shard_loss"]
+__all__ = ["SolverSettings", "newton_minimize", "local_fit", "minimize_shard_loss"]
 
 Objective = Callable[[np.ndarray, int], tuple]
 
@@ -116,8 +118,13 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
         last_iterate=theta, gradient_norm=gnorm, iterations=settings.max_iters)
 
 
+def local_fit(loss: ShardLoss, settings: SolverSettings = SolverSettings()) -> np.ndarray:
+    """Local maximum-likelihood fit on one bound shard evaluator, started at
+    zero: the fit every worker runs, in process and over tcp."""
+    return newton_minimize(loss.eval, np.zeros(loss.shard.n_features), settings)
+
+
 def minimize_shard_loss(model: LossModel, shard: DataShard,
                         settings: SolverSettings = SolverSettings()) -> np.ndarray:
-    """Local maximum-likelihood fit on one shard, started at zero."""
-    return newton_minimize(ShardLoss(model, shard).eval, np.zeros(shard.n_features),
-                           settings)
+    """:func:`local_fit` on a fresh evaluator of ``shard``."""
+    return local_fit(ShardLoss(model, shard), settings)

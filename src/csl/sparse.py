@@ -67,15 +67,18 @@ class L1Settings:
 
 @dataclass(frozen=True)
 class SparseEstimate:
-    """A penalized fit: the point, its support, the composite objective there,
-    the FISTA iterations spent, and whether the stopping test was met (an
-    exhausted budget is flagged here, not raised)."""
+    """A penalized fit: the point, the composite objective there, the FISTA
+    iterations spent, and whether the stopping test was met (an exhausted
+    budget is flagged here, not raised). ``support`` is read off the point."""
 
     theta: np.ndarray
-    support: np.ndarray
     objective_value: float
     iterations: int
     converged: bool
+
+    @property
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.theta)
 
     @property
     def sparsity(self) -> int:
@@ -152,8 +155,7 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
                 break
     x[np.abs(x) < _SNAP] = 0.0
     fx = objective(x, 0)[0]
-    return SparseEstimate(theta=x, support=np.flatnonzero(x),
-                          objective_value=fx + lam * float(np.abs(x).sum()),
+    return SparseEstimate(theta=x, objective_value=fx + lam * float(np.abs(x).sum()),
                           iterations=iterations, converged=converged)
 
 
@@ -224,7 +226,7 @@ def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
         theta[working] = fit.theta
         value, grad = loss.eval(theta, 1)
         room = (_WS_GROWTH - 1) * working.size
-    return SparseEstimate(theta=theta, support=np.flatnonzero(theta),
+    return SparseEstimate(theta=theta,
                           objective_value=value + lam * float(np.abs(theta).sum()),
                           iterations=iterations, converged=converged)
 
@@ -312,13 +314,9 @@ def averaging_lasso(cluster: Cluster, lam: float | None = None,
     support is well defined.
     """
     fits = cluster.local_fit_round(lambda loss: _local_lasso(loss, lam, settings))
-    acc = np.zeros(cluster.d)
-    for fit in fits:
-        acc += fit.theta
-    theta = acc / cluster.k
+    theta = cluster.average([fit.theta for fit in fits])
     theta[np.abs(theta) < _SNAP] = 0.0
     return SparseEstimate(
-        theta=theta, support=np.flatnonzero(theta),
-        objective_value=float(np.mean([f.objective_value for f in fits])),
+        theta=theta, objective_value=float(np.mean([f.objective_value for f in fits])),
         iterations=max(f.iterations for f in fits),
         converged=all(f.converged for f in fits))

@@ -9,7 +9,9 @@ there:
 
 Its Hessian is the host shard's loss Hessian, so the one-step update is a
 single Newton step on this surrogate from the anchor, and the exact update
-minimizes it. The build costs exactly one gradient round on the ledger.
+minimizes it. The build costs exactly one gradient round on the ledger, and
+that round checks the anchor's shape and finiteness before any request goes
+out.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import Cluster
-from .errors import DataError
 from .losses import ShardLoss
 
 __all__ = ["SurrogateLoss", "build_surrogate"]
@@ -66,10 +67,6 @@ def build_surrogate(cluster: Cluster, anchor: np.ndarray) -> SurrogateLoss:
     """One gradient round at the anchor, then assemble the tilted loss of the
     coordinator's shard."""
     anchor = np.asarray(anchor, dtype=np.float64)
-    if anchor.shape != (cluster.d,):
-        raise DataError(f"anchor has shape {anchor.shape}, expected ({cluster.d},)")
-    if not np.all(np.isfinite(anchor)):
-        raise DataError("anchor contains non-finite entries")
     pooled_grad, local_grads = cluster.gradient_round(anchor)
     return SurrogateLoss(loss=cluster.losses[0], anchor=anchor,
                          correction=local_grads[0] - pooled_grad,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CslError, WorkerError
 from .losses import DataShard, LossModel, ShardLoss
-from .solvers import SolverSettings, newton_minimize
+from .solvers import SolverSettings, local_fit
 
 __all__ = [
     "OP_LOAD_SHARD", "OP_EVAL_GRAD", "OP_GRAD_REPLY", "OP_LOCAL_MIN_REQ",
@@ -98,7 +98,9 @@ def _decode_shard(payload: bytes) -> DataShard:
 class WorkerServer:
     """One remote worker: holds a shard, serves gradient and local-fit requests.
 
-    Connections are handled one at a time. A SHUTDOWN frame stops the server.
+    Connections are handled one at a time. A SHUTDOWN frame stops the server,
+    and so does :meth:`stop`, which also shuts the connection being served so
+    that a silent client cannot hold the serve thread.
     A request that fails (no shard loaded, solver failure, unknown opcode) gets
     an error frame back and the connection keeps serving, since frames are
     length-delimited. A connection that breaks, mid-frame or while a reply is
@@ -111,6 +113,7 @@ class WorkerServer:
         self._listener = socket.create_server((host, port))
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        self._conn: socket.socket | None = None  # the connection being served
 
     @property
     def address(self) -> tuple[str, int]:
@@ -132,11 +135,17 @@ class WorkerServer:
             except OSError:
                 break
             with conn:
+                self._conn = conn
                 self._serve_connection(conn)
+                self._conn = None
         self._listener.close()
 
     def stop(self) -> None:
         self._stop.set()
+        conn = self._conn
+        if conn is not None:  # wakes a read blocked on an idle client
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
         if self._thread is not None and self._thread.is_alive():
             self._thread.join(timeout=5.0)
 
@@ -175,9 +184,7 @@ class WorkerServer:
         if len(payload) != _SETTINGS.size:
             raise CslError(f"local-min request payload must be {_SETTINGS.size} "
                            f"bytes, got {len(payload)}")
-        settings = SolverSettings(*_SETTINGS.unpack(payload))
-        start = np.zeros(self._loss.shard.n_features)
-        theta = newton_minimize(self._loss.eval, start, settings)
+        theta = local_fit(self._loss, SolverSettings(*_SETTINGS.unpack(payload)))
         return pack_frame(OP_LOCAL_MIN_REPLY, _encode_vector(theta))
 
 

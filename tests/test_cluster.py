@@ -125,9 +125,23 @@ class TestGradientRound:
             cluster.gradient_round(np.array([np.nan, 0.0, 0.0]))
 
 
-def test_local_loss_values_match_shard_order():
+def test_average_is_a_worker_order_fold():
     cluster = make_cluster(3)
-    theta = np.zeros(3)
-    values = cluster.local_loss_values(theta)
-    assert len(values) == 3
+    theta = np.array([0.1, -0.2, 0.3])
+    grads = [loss.gradient(theta) for loss in cluster.losses]
+    acc = np.zeros(3)
+    for g in grads:
+        acc += g
+    assert cluster.average(grads).tobytes() == (acc / 3).tobytes()
+    values = [loss.eval(theta, 0)[0] for loss in cluster.losses]
+    total = 0.0
+    for v in values:
+        total += v
+    mean = cluster.average(values)
+    assert type(mean) is float and mean == total / 3
     assert cluster.ledger.vectors_sent == 0
+    single = make_cluster(1)
+    grad = single.losses[0].gradient(theta)
+    alone = single.average([grad])
+    assert not np.shares_memory(alone, grad)
+    assert alone.tobytes() == grad.tobytes()

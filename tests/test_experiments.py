@@ -79,6 +79,19 @@ class TestConfigParsing:
         config = config_from_mapping(as_mapping(experiment="coverage", d=2, n=[64]))
         assert config.experiment == "Coverage"
 
+    def test_n_is_needed_only_where_the_sweep_reads_it(self, tmp_path):
+        total = config_from_mapping(as_mapping(experiment="LassoFixedN", d=8, s=2,
+                                               n_total=80, k=[2, 4]))
+        assert total.n_values == ()
+        assert experiments._sweep_points(total) == [(40, 2), (20, 4)]
+        for name in sorted(set(EXPERIMENTS) - {"LassoFixedN"}):
+            out = tmp_path / f"{name}.csv"
+            config = config_from_mapping(as_mapping(experiment=name, d=8, s=2,
+                                                    n_total=80, k=[2, 4], out=out))
+            with pytest.raises(ConfigError, match=r"needs n \("):
+                run_experiment(config)
+            assert not out.exists()
+
     def test_experiment_names_are_closed(self):
         assert set(EXPERIMENTS) == {"MestSweepN", "MestSweepK", "Coverage",
                                     "LassoFixedN", "LassoFixedn", "Bayes"}
@@ -176,7 +189,9 @@ class TestRunCoverage:
         config = config_from_mapping(as_mapping(
             experiment="Coverage", d=2, n=[256], k=[4], trials=3, seed=1,
             out=str(tmp_path / "cov.csv")))
-        rows = read_rows(run_experiment(config).path)
+        with pytest.warns(UserWarning, match="sigma_cross with k=4"):
+            result = run_experiment(config)
+        rows = read_rows(result.path)
         hits = [float(r["value"]) for r in rows
                 if r["metric"].startswith("covered_")]
         assert len(hits) == 2 * 3

@@ -150,3 +150,46 @@ class TestSettingsValidation:
     def test_rejects_nonvector_start(self):
         with pytest.raises(DataError):
             newton_minimize(quadratic_objective(np.ones(2)), np.zeros((2, 2)))
+
+
+class TestErrorPaths:
+    def test_singular_hessian_is_damped_and_the_fit_converges(self):
+        # An all-zero column leaves a zero row and column in the Hessian, so
+        # the undamped Cholesky factorization fails at the start.
+        rng = np.random.default_rng(25)
+        x = np.column_stack([rng.standard_normal((100, 2)), np.zeros(100)])
+        y = (rng.uniform(size=100) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
+        loss = ShardLoss(LossModel.logistic(), DataShard(x=x, y=y))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(loss.eval(np.zeros(3), 2)[2])
+        fit = newton_minimize(loss.eval, np.zeros(3))
+        assert fit[2] == 0.0
+        assert np.max(np.abs(loss.eval(fit, 1)[1])) <= 1e-8
+
+    def test_line_search_stall_raises_with_the_start(self):
+        def objective(theta, order):  # finite only at zero
+            value = 0.0 if not np.any(theta) else np.inf
+            return (value, np.ones(2), np.eye(2))[:order + 1]
+
+        with pytest.raises(NonConvergenceError,
+                           match="line search stalled at iteration 0") as info:
+            newton_minimize(objective, np.zeros(2))
+        np.testing.assert_array_equal(info.value.last_iterate, np.zeros(2))
+        assert info.value.iterations == 0
+
+    def test_nonfinite_gradient_raises_at_iteration_zero(self):
+        def objective(theta, order):
+            return (0.0, np.array([np.nan, 1.0]), np.eye(2))[:order + 1]
+
+        with pytest.raises(NonConvergenceError,
+                           match="non-finite gradient at iteration 0") as info:
+            newton_minimize(objective, np.zeros(2))
+        assert info.value.iterations == 0
+
+    def test_damping_gives_up_on_a_hugely_negative_hessian(self):
+        def objective(theta, order):
+            return (0.0, np.ones(2), -1e12 * np.eye(2))[:order + 1]
+
+        with pytest.raises(NonConvergenceError, match="heavy damping") as info:
+            newton_minimize(objective, np.zeros(2))
+        assert info.value.gradient_norm == 1.0

@@ -6,7 +6,7 @@ import pytest
 
 from csl.cluster import Cluster
 from csl.datagen import derive_rng, gen_sparse_linear
-from csl.errors import DataError
+from csl.errors import DataError, NonConvergenceError
 from csl.losses import DataShard, LossModel, ShardLoss
 from csl.sparse import (L1Settings, _noise_sd, _stationarity_ok,
                         _working_set_lasso, averaging_lasso, csl_lasso,
@@ -127,6 +127,15 @@ class TestFista:
         checks = middle.count("11") + 1
         assert calls.count(1) == fit.iterations + checks
         assert calls.count(0) > fit.iterations + 2  # some probe was rejected
+
+    def test_backtracking_exhaustion_raises_with_the_start(self):
+        def objective(theta, order):
+            return (0.0 if not np.any(theta) else np.inf, np.ones(2))[:order + 1]
+
+        with pytest.raises(NonConvergenceError, match="backtracking exhausted") as info:
+            fista_l1(objective, 0.5, np.zeros(2))
+        np.testing.assert_array_equal(info.value.last_iterate, np.zeros(2))
+        assert info.value.iterations == 1
 
     def test_settings_validated(self):
         with pytest.raises(DataError):

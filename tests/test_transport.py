@@ -10,6 +10,7 @@ from csl import transport
 from csl.cluster import Cluster
 from csl.datagen import gen_logistic
 from csl.errors import DataError, NonConvergenceError, WorkerError
+from csl.estimators import subsample_estimator
 from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import SolverSettings, minimize_shard_loss
 from csl.transport import (OP_ERROR, OP_EVAL_GRAD, OP_GRAD_REPLY, OP_LOAD_SHARD,
@@ -155,6 +156,21 @@ class TestWorkerProtocol:
         assert worker._thread.is_alive()
 
 
+def test_stop_returns_while_a_client_sits_idle():
+    server = WorkerServer(LossModel.logistic()).start()
+    address = server.address
+    with socket.create_connection(address, timeout=10) as idle:
+        # an answered request shows the worker is now reading this connection
+        idle.sendall(pack_frame(OP_EVAL_GRAD, np.zeros(2).tobytes()))
+        assert read_frame(idle)[0] == OP_ERROR
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 1.0
+        assert not server._thread.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=1).close()
+
+
 class TestTcpCluster:
     def test_tcp_matches_in_process_bitwise(self):
         pooled, _ = gen_logistic(4, 60 * 3, 5)
@@ -172,6 +188,14 @@ class TestTcpCluster:
             for a, b in zip(fits_tcp, fits_plain):
                 np.testing.assert_array_equal(a, b)
             assert over_tcp.ledger == plain.ledger
+
+    @pytest.mark.parametrize("transport", ["in_process", "tcp"])
+    def test_subsample_is_the_coordinator_fit_of_a_local_min_round(self, transport):
+        pooled, _ = gen_logistic(3, 40 * 3, 6)
+        with Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
+                                 transport=transport) as cluster:
+            fits = cluster.local_minimizer_round()
+            assert subsample_estimator(cluster).tobytes() == fits[0].tobytes()
 
     def test_solver_settings_travel_in_full(self):
         # Shard 1 is balanced so that zero is its exact fit; shards 2 and 3

@@ -14,9 +14,9 @@ from .errors import (ConfigError, CslError, DataError, NonConvergenceError,
                      SingularHessianError, WorkerError)
 from .estimators import (EXACT_SURROGATE, ONE_STEP, IleaTrajectory, averaging_estimator,
                          ilea, minimize_surrogate, one_step_update, subsample_estimator)
-from .experiments import (ExperimentConfig, RunResult, config_from_mapping,
-                          config_to_mapping, desk_presets, paper_presets,
-                          parse_config_text, report, results_hash, run_experiment)
+from .experiments import (ExperimentConfig, RunResult, config_from_mapping, desk_presets,
+                          paper_presets, parse_config_text, report, results_hash,
+                          run_experiment)
 from .inference import (ConfidenceIntervals, confidence_intervals, normal_quantile,
                         sandwich, sigma_cross, sigma_global, sigma_local)
 from .losses import DataShard, LossModel, ShardLoss, shard_to_csv

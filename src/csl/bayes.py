@@ -26,22 +26,21 @@ __all__ = [
     "run_csl_bayes", "CslBayesResult", "marginal_l1",
 ]
 
+# One-step refits that sharpen the surrogate chain's anchor.
+_INIT_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class Prior:
-    """Log prior density. Use the constructors; ``kind`` is one of
-    "flat", "gaussian", "uniform_box"."""
+    """Log prior density: exact (normalized for the proper priors), -inf
+    outside the box prior's support. Use the constructors."""
 
-    kind: str
-    mean: np.ndarray | None = None
-    sd: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    log_density: Callable[[np.ndarray], float]
 
     @classmethod
     def flat(cls) -> "Prior":
         """Improper constant prior; log density 0 everywhere."""
-        return cls(kind="flat")
+        return cls(lambda theta: 0.0)
 
     @classmethod
     def gaussian(cls, mean, sd) -> "Prior":
@@ -49,7 +48,13 @@ class Prior:
         sd = np.atleast_1d(np.asarray(sd, dtype=np.float64))
         if sd.shape != mean.shape or np.any(sd <= 0.0):
             raise DataError("gaussian prior needs positive sd matching mean's shape")
-        return cls(kind="gaussian", mean=mean, sd=sd)
+
+        def log_density(theta):
+            theta = np.asarray(theta, dtype=np.float64)
+            z = (theta - mean) / sd
+            return float(-0.5 * z @ z - np.log(sd).sum()
+                         - 0.5 * theta.size * math.log(2.0 * math.pi))
+        return cls(log_density)
 
     @classmethod
     def uniform_box(cls, lower, upper) -> "Prior":
@@ -57,23 +62,13 @@ class Prior:
         upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
         if upper.shape != lower.shape or np.any(upper <= lower):
             raise DataError("uniform box needs upper > lower elementwise")
-        return cls(kind="uniform_box", lower=lower, upper=upper)
 
-    def log_density(self, theta: np.ndarray) -> float:
-        """Exact log density (normalized for the proper priors); -inf outside
-        the box prior's support."""
-        if self.kind == "flat":
-            return 0.0
-        theta = np.asarray(theta, dtype=np.float64)
-        if self.kind == "gaussian":
-            z = (theta - self.mean) / self.sd
-            return float(-0.5 * z @ z - np.log(self.sd).sum()
-                         - 0.5 * theta.size * math.log(2.0 * math.pi))
-        if self.kind == "uniform_box":
-            if np.all((self.lower <= theta) & (theta <= self.upper)):
-                return float(-np.log(self.upper - self.lower).sum())
+        def log_density(theta):
+            theta = np.asarray(theta, dtype=np.float64)
+            if np.all((lower <= theta) & (theta <= upper)):
+                return float(-np.log(upper - lower).sum())
             return -math.inf
-        raise DataError(f"unknown prior kind {self.kind!r}")
+        return cls(log_density)
 
 
 @dataclass
@@ -171,29 +166,27 @@ def full_log_posterior(cluster: Cluster, prior: Prior, theta: np.ndarray,
 
 @dataclass
 class CslBayesResult:
-    """A surrogate chain, its anchor and surrogate, and the vectors it cost."""
+    """A surrogate chain, its anchor and surrogate; what it cost is on the
+    cluster's ledger."""
 
     chain: Chain
     anchor: np.ndarray
     surrogate: SurrogateLoss
-    vectors_spent: int
 
 
 def run_csl_bayes(cluster: Cluster, prior: Prior,
-                  mcmc: McmcSettings = McmcSettings(), init_rounds: int = 3
-                  ) -> CslBayesResult:
+                  mcmc: McmcSettings = McmcSettings()) -> CslBayesResult:
     """End-to-end surrogate-posterior sampling.
 
     The anchor is produced communication-free on the coordinator's shard and
-    sharpened by init_rounds one-step refits; the final surrogate build adds
-    one more gradient round, for 2*(init_rounds + 1)*(k-1) vectors total.
+    sharpened by ``_INIT_ROUNDS`` one-step refits; the final surrogate build
+    adds one more gradient round, for 2*(_INIT_ROUNDS + 1)*(k-1) vectors total.
     Proposals are autoscaled to 2.4 / sqrt(d * N * hbar) with hbar the mean
     diagonal curvature at the anchor, a normal-approximation step size; the
     first half of the chain is burn-in.
     """
-    vectors_start = cluster.ledger.vectors_sent
     start = subsample_estimator(cluster)
-    anchor = ilea(cluster, start, rounds=init_rounds, mode=ONE_STEP).final
+    anchor = ilea(cluster, start, rounds=_INIT_ROUNDS, mode=ONE_STEP).final
     surr = build_surrogate(cluster, anchor)
     n_total = cluster.n_total
     hbar = float(np.mean(np.diag(surr.loss.eval(anchor, 2)[2])))
@@ -205,8 +198,7 @@ def run_csl_bayes(cluster: Cluster, prior: Prior,
         return surrogate_log_posterior(surr, prior, theta, n_total)
 
     chain = metropolis(log_target, anchor, scale, mcmc.iters, seed=mcmc.seed)
-    return CslBayesResult(chain=chain, anchor=anchor, surrogate=surr,
-                          vectors_spent=cluster.ledger.vectors_sent - vectors_start)
+    return CslBayesResult(chain=chain, anchor=anchor, surrogate=surr)
 
 
 def _coordinate_samples(chain, coordinate: int) -> np.ndarray:

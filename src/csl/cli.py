@@ -1,8 +1,8 @@
 """Command-line front end: generate datasets, run experiment sweeps, summarize results.
 
 Subcommands: ``gen`` writes synthetic dataset CSVs, ``run`` executes an
-experiment config (preset < config file < key=value overrides, with CSL_SEED
-taking precedence over all seed settings), ``report`` turns a results CSV
+experiment config (a preset, overlaid in turn by the config file, key=value
+overrides, CSL_SEED and --out), ``report`` turns a results CSV
 into summary and plot-data files. Exit codes: 0 success, 2 bad
 configuration, 3 completed with flagged trials.
 """
@@ -10,13 +10,14 @@ configuration, 3 completed with flagged trials.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from .datagen import derive_rng, gen_logistic, gen_sparse_linear
 from .errors import ConfigError, DataError
-from .experiments import (RUNTIME_METRICS, config_from_mapping, config_to_mapping,
+from .experiments import (RUNTIME_METRICS, config_from_mapping, config_values,
                           desk_presets, paper_presets, parse_config_text, report,
                           run_experiment)
 from .losses import shard_to_csv
@@ -53,12 +54,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     mapping: dict[str, str] = {}
-    if args.preset:
-        presets = {**desk_presets(), **paper_presets()}
-        if args.preset not in presets:
-            raise ConfigError(f"unknown preset {args.preset!r}; "
-                              f"valid: {', '.join(sorted(presets))}")
-        mapping.update(config_to_mapping(presets[args.preset]))
     if args.config:
         mapping.update(parse_config_text(Path(args.config).read_text()))
     for item in args.overrides:
@@ -71,9 +66,16 @@ def _cmd_run(args) -> int:
         mapping["seed"] = env_seed
     if args.out:
         mapping["out"] = args.out
-    if not mapping:
+    if args.preset:
+        presets = {**desk_presets(), **paper_presets()}
+        if args.preset not in presets:
+            raise ConfigError(f"unknown preset {args.preset!r}; "
+                              f"valid: {', '.join(sorted(presets))}")
+        config = dataclasses.replace(presets[args.preset], **config_values(mapping))
+    elif mapping:
+        config = config_from_mapping(mapping)
+    else:
         raise ConfigError("run needs --preset, --config, or key=value settings")
-    config = config_from_mapping(mapping)
     result = run_experiment(config)
     print(f"wrote {result.rows_written} rows to {result.path}")
     if result.error_flags:

@@ -59,12 +59,11 @@ class IleaTrajectory:
     """Everything one iterated-surrogate run produced.
 
     iterates[0] is the start point, iterates[t] the estimate after round t.
-    vectors_spent is the exact ledger vector count the run cost.
+    What the run cost is on the cluster's ledger.
     """
 
     mode: str
     iterates: list[np.ndarray]
-    vectors_spent: int
 
     @property
     def final(self) -> np.ndarray:
@@ -90,7 +89,6 @@ def ilea(cluster: Cluster, theta0: np.ndarray | None = None, rounds: int = 3,
         raise DataError("rounds must be >= 0")
     if mode not in (EXACT_SURROGATE, ONE_STEP):
         raise DataError(f"unknown mode {mode!r}; use {EXACT_SURROGATE!r} or {ONE_STEP!r}")
-    vectors_start = cluster.ledger.vectors_sent
     if theta0 is None:
         theta0 = averaging_estimator(cluster)
     theta = np.array(theta0, dtype=np.float64)
@@ -107,8 +105,7 @@ def ilea(cluster: Cluster, theta0: np.ndarray | None = None, rounds: int = 3,
             annotated.__dict__.update(exc.__dict__)
             raise annotated from exc
         iterates.append(theta.copy())
-    return IleaTrajectory(mode=mode, iterates=iterates,
-                          vectors_spent=cluster.ledger.vectors_sent - vectors_start)
+    return IleaTrajectory(mode=mode, iterates=iterates)
 
 
 def averaging_estimator(cluster: Cluster) -> np.ndarray:

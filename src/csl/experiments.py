@@ -37,7 +37,7 @@ from .surrogate import build_surrogate
 
 __all__ = [
     "EXPERIMENTS", "RESULTS_HEADER", "RUNTIME_METRICS", "ExperimentConfig",
-    "config_from_mapping", "config_to_mapping", "parse_config_text",
+    "config_from_mapping", "config_values", "parse_config_text",
     "run_experiment", "RunResult", "results_hash", "report", "desk_presets",
     "paper_presets",
 ]
@@ -135,36 +135,30 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build a validated config from string key/values (file or CLI flags)."""
+def config_values(mapping: dict[str, str]) -> dict:
+    """Parse string key/values (file or CLI flags) into typed config field
+    values, keyed by field name, for :class:`ExperimentConfig` or
+    :func:`dataclasses.replace`."""
     unknown = set(mapping) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}; "
                           f"valid: {', '.join(sorted(_FIELDS))}")
-    if "experiment" not in mapping:
-        raise ConfigError("config must set 'experiment'")
-    kwargs: dict = {}
+    values: dict = {}
     try:
         for key, text in mapping.items():
             f, parse = _FIELDS[key]
-            kwargs[f.name] = parse(text)
+            values[f.name] = parse(text)
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}")
-    return ExperimentConfig(**kwargs)
+    return values
 
 
-def config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
-    """Every set field of the config as the string mapping
-    :func:`config_from_mapping` reads back."""
-    mapping = {}
-    for key, (f, _) in _FIELDS.items():
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        mapping[key] = str(value)
-    return mapping
+def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
+    """Build a validated config from string key/values (file or CLI flags)."""
+    values = config_values(mapping)
+    if "experiment" not in values:
+        raise ConfigError("config must set 'experiment'")
+    return ExperimentConfig(**values)
 
 
 @dataclass
@@ -197,8 +191,9 @@ def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarr
     emit("averaging", "sq_error", _sq_error(theta_avg, theta_star))
     emit("averaging", "vectors_sent", averaging_cost)
 
+    ledger0 = cluster.ledger.copy()
     trajectory = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP)
-    per_round = trajectory.vectors_spent // max(1, trajectory.rounds)
+    per_round = (cluster.ledger.vectors_sent - ledger0.vectors_sent) // trajectory.rounds
     for t in range(1, trajectory.rounds + 1):
         emit(f"csl_{t}", "sq_error", _sq_error(trajectory.iterates[t], theta_star))
         emit(f"csl_{t}", "vectors_sent", averaging_cost + per_round * t)
@@ -287,10 +282,11 @@ def _bayes_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndar
     seeds = derive_rng(config.seed, config.experiment, cluster.k, trial, "chains")
     chain_seed = int(seeds.integers(0, 2 ** 63 - 1))
 
+    ledger0 = cluster.ledger.copy()
     result = run_csl_bayes(cluster, Prior.flat(),
                            McmcSettings(iters=config.mcmc_iters,
                                         seed=chain_seed))
-    emit("csl_bayes", "vectors_sent", result.vectors_spent)
+    emit("csl_bayes", "vectors_sent", cluster.ledger.vectors_sent - ledger0.vectors_sent)
     emit("csl_bayes", "accept_rate", result.chain.acceptance_rate)
 
     # Oracle chain on the pooled posterior: same start, step size and proposal

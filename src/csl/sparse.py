@@ -107,8 +107,9 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
     Backtracks a local Lipschitz estimate, restarts momentum whenever the
     composite objective would rise (so the accepted sequence is monotone and
     never ends above the start), and stops once the decrease falls under tol
-    AND the subgradient condition holds to within 10*tol. Tiny coordinates are
-    snapped to exact zeros on return.
+    AND the subgradient condition holds to within 10*tol, or, unconverged,
+    once a step from x itself (the first, or the first after a restart) is
+    rejected. Tiny coordinates are snapped to exact zeros on return.
     """
     if lam < 0.0:
         raise DataError("lam must be >= 0")
@@ -138,6 +139,9 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
                     "backtracking exhausted; objective may not have a "
                     "Lipschitz gradient", last_iterate=x, iterations=iterations)
         comp_u = fu + lam * float(np.abs(u).sum())
+        # Momentum is 1 only at the start and after a restart, where z is x: a
+        # step rejected there would be retaken bit for bit, forever.
+        stalled = comp_u > comp_x and momentum == 1.0
         if comp_u <= comp_x:
             previous = x
             x, comp_prev, comp_x = u, comp_x, comp_u
@@ -150,8 +154,8 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
             momentum = 1.0
             comp_prev = comp_x
         if abs(comp_prev - comp_x) < settings.tol:
-            if _stationarity_ok(objective(x, 1)[1], x, lam, 10.0 * settings.tol):
-                converged = True
+            converged = _stationarity_ok(objective(x, 1)[1], x, lam, 10.0 * settings.tol)
+            if converged or stalled:
                 break
     x[np.abs(x) < _SNAP] = 0.0
     fx = objective(x, 0)[0]
@@ -194,11 +198,13 @@ def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
     warm-started at the current fit, then checks the condition on every
     column at the 10*tol slack of :func:`fista_l1`; the violators outside the
     set join it, largest first, at most ``_WS_GROWTH`` times its size. The fit
-    is converged only when that full check holds. The passes share
-    ``settings.max_iters``: each spends at least one iteration and at most
-    half the remaining budget, rounded up, so the loop ends, and a pass that
-    stalls short of tol on too small a set leaves iterations for a larger
-    one. ``iterations`` is their total.
+    is converged only when that full check holds; it ends unconverged after a
+    pass that leaves both the set and the fit as they were. The passes share
+    ``settings.max_iters``: each gets half the remaining budget, rounded up,
+    and is charged what it ran if it met tol or else its whole share, so the
+    loop ends, a pass that stalls short of tol on too small a set leaves
+    iterations for a larger one, and where a pass stalled moves no later
+    budget. ``iterations`` is the total the passes ran.
     """
     if lam < 0.0:
         raise DataError("lam must be >= 0")
@@ -209,21 +215,26 @@ def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
         raise DataError("objective is not finite at theta0")
     working = np.flatnonzero(theta)
     room = _WS_START
-    iterations = 0
+    iterations = charged = 0
     converged = False
     while True:
         if _stationarity_ok(grad, theta, lam, slack):
             converged = True
             break
-        if iterations >= settings.max_iters:
+        if charged >= settings.max_iters:
             break
-        working = _add_violators(working, grad, lam, slack, room)
-        budget = (settings.max_iters - iterations + 1) // 2
-        fit = fista_l1(loss.restrict(working).eval, lam, theta[working],
+        grown = _add_violators(working, grad, lam, slack, room)
+        budget = (settings.max_iters - charged + 1) // 2
+        fit = fista_l1(loss.restrict(grown).eval, lam, theta[grown],
                        replace(settings, max_iters=budget))
         iterations += fit.iterations
-        theta = np.zeros_like(theta)
-        theta[working] = fit.theta
+        charged += fit.iterations if fit.converged else budget
+        fitted = np.zeros_like(theta)
+        fitted[grown] = fit.theta
+        if np.array_equal(grown, working) and np.array_equal(fitted, theta):
+            # Every later pass would start from this one's set and point.
+            break
+        working, theta = grown, fitted
         value, grad = loss.eval(theta, 1)
         room = (_WS_GROWTH - 1) * working.size
     return SparseEstimate(theta=theta,

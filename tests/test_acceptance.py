@@ -176,8 +176,7 @@ def test_criterion_04_ledger_exactness(capfd):
             assert cluster.ledger.vectors_sent == k - 1
 
             cluster = fresh(k)
-            run_csl_bayes(cluster, Prior.flat(),
-                          McmcSettings(iters=50, seed=1), init_rounds=3)
+            run_csl_bayes(cluster, Prior.flat(), McmcSettings(iters=50, seed=1))
             assert cluster.ledger.vectors_sent == 8 * (k - 1)
 
 

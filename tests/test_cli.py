@@ -1,15 +1,29 @@
 import csv
-import os
+import dataclasses
 
 import pytest
 
+import csl.cli as cli
 from csl.cli import main
-from csl.experiments import (config_from_mapping, config_to_mapping, desk_presets,
-                             paper_presets, results_hash)
+from csl.experiments import RunResult, desk_presets, paper_presets, results_hash
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The configs ``csl run`` builds, recorded in place of running them."""
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        return RunResult(path=config.out_path, rows_written=0, error_flags=0)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    monkeypatch.delenv("CSL_SEED", raising=False)
+    return configs
 
 
 class TestGen:
@@ -117,9 +131,24 @@ class TestRun:
 
 
 @pytest.mark.parametrize("name", sorted({**desk_presets(), **paper_presets()}))
-def test_every_preset_round_trips_through_the_cli_mapping(name):
-    preset = {**desk_presets(), **paper_presets()}[name]
-    assert config_from_mapping(config_to_mapping(preset)) == preset
+def test_every_preset_round_trips_through_the_cli_mapping(name, built):
+    # With nothing on top, `csl run --preset` runs the preset itself.
+    assert run_cli("run", "--preset", name) == 0
+    assert built == [{**desk_presets(), **paper_presets()}[name]]
+
+
+def test_preset_then_file_then_overrides_then_env_seed_then_out(tmp_path, monkeypatch,
+                                                                built):
+    config_file = tmp_path / "cfg.txt"
+    config_file.write_text("d = 4\nlevel = 0.8\ntrials = 2\nseed = 3\n"
+                           f"out = {tmp_path / 'file.csv'}\n")
+    monkeypatch.setenv("CSL_SEED", "77")
+    code = run_cli("run", "--preset", "coverage_desk", "--config", str(config_file),
+                   "--out", str(tmp_path / "flag.csv"), "trials=5", "seed=9", "k=16")
+    assert code == 0
+    assert built == [dataclasses.replace(
+        desk_presets()["coverage_desk"], d=4, level=0.8, trials=5, k_values=(16,),
+        seed=77, out=str(tmp_path / "flag.csv"))]
 
 
 class TestReport:

@@ -103,6 +103,19 @@ class TestFista:
         assert np.all(np.abs(fit.theta[on]) > 1e-12)
         assert sorted(fit.support.tolist()) == np.nonzero(on)[0].tolist()
 
+    def test_tight_tolerance_fits_end_at_their_fixed_point(self):
+        # At tol=1e-12 the composite gap falls below one ulp of the objective
+        # and every step from the iterate is rejected by rounding; the fit
+        # must end there instead of retaking that step to the budget.
+        shard, _ = small_design()
+        settings = L1Settings(tol=1e-12)
+        for lam in (0.0, 0.05, 0.3, 1.0, 3.0):
+            fit = fista_l1(shard_objective(LossModel.linear(), shard), lam,
+                           np.zeros(3), settings)
+            assert fit.iterations < 100, lam
+            passes = local_lasso(LossModel.linear(), shard, lam=lam, settings=settings)
+            assert passes.iterations < 100, lam
+
     def test_probes_ask_for_values_and_iterations_for_one_gradient(self):
         shard, _ = small_design(seed=7)
         base = shard_objective(LossModel.linear(), shard)
@@ -382,7 +395,7 @@ class TestWorkingSet:
         # unconverged once the budget is spent.
         shard, _ = small_design()
         loss = ShardLoss(LossModel.linear(), shard)
-        calls, sets = [], []
+        calls, sets, starts = [], [], []
 
         class Skewed:
             def eval(self, theta, order):
@@ -398,6 +411,8 @@ class TestWorkingSet:
                 inner = loss.restrict(columns)
 
                 def counting(theta, order):
+                    if len(starts) < len(sets):  # the start of a pass
+                        starts.append(theta.copy())
                     calls.append(order)
                     return inner.eval(theta, order)
                 return SimpleNamespace(eval=counting)
@@ -405,7 +420,10 @@ class TestWorkingSet:
         settings = L1Settings(max_iters=40)
         fit = _working_set_lasso(Skewed(), 0.1, np.zeros(3), settings)
         assert not fit.converged
-        assert fit.iterations == settings.max_iters
+        # The passes end with the first one that returns the point it
+        # started from on the same set, before the budget is spent.
+        assert fit.iterations < settings.max_iters
+        np.testing.assert_array_equal(starts[-1], fit.theta[sets[-1]])
         assert len(sets) >= 2 and all(w == sets[0] for w in sets)
         assert len(sets) <= settings.max_iters
         assert len(calls) <= 20 * settings.max_iters

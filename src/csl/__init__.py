@@ -20,9 +20,9 @@ from .experiments import (ExperimentConfig, RunResult, config_from_mapping, desk
 from .inference import (ConfidenceIntervals, confidence_intervals, normal_quantile,
                         sandwich, sigma_cross, sigma_global, sigma_local)
 from .losses import DataShard, LossModel, ShardLoss, shard_to_csv
-from .solvers import SolverSettings, local_fit, minimize_shard_loss, newton_minimize
-from .sparse import (L1Settings, SparseEstimate, averaging_lasso, csl_lasso, fista_l1,
-                     iterative_csl_lasso, lambda_heuristic, local_lasso, soft_threshold)
+from .solvers import (L1Settings, LassoFit, SolverSettings, SparseEstimate, fista_l1,
+                      lambda_heuristic, local_fit, newton_minimize, run_fit, soft_threshold)
+from .sparse import averaging_lasso, csl_lasso, iterative_csl_lasso, local_lasso
 from .surrogate import SurrogateLoss, build_surrogate
 
 __version__ = "0.1.0"

@@ -80,7 +80,6 @@ class Chain:
     accepted: np.ndarray
     proposal_scale: float
     burn_in: int
-    seed: int
 
     @property
     def post_burn_in(self) -> np.ndarray:
@@ -136,7 +135,7 @@ def metropolis(log_target: Callable[[np.ndarray], float], theta0: np.ndarray,
             accepted[t] = True
         samples[t] = theta
     return Chain(samples=samples, accepted=accepted,
-                 proposal_scale=float(proposal_scale), burn_in=iters // 2, seed=seed)
+                 proposal_scale=float(proposal_scale), burn_in=iters // 2)
 
 
 def surrogate_log_posterior(s: SurrogateLoss, prior: Prior, theta: np.ndarray,

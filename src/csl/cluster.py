@@ -5,8 +5,9 @@ The ledger counts d-dimensional vector payloads crossing machine boundaries:
 
 * gradient round: broadcast theta to workers 2..k and collect their replies,
   2*(k-1) vectors;
-* local-minimizer round: each worker runs :func:`~csl.solvers.local_fit`;
-  requests carry only the solver settings, so just the k-1 replies count;
+* local-fit round: each worker runs :func:`~csl.solvers.run_fit` on one typed
+  request, a Newton or a lasso fit; requests carry only settings, so just the
+  k-1 replies count;
 * at k=1 nothing crosses a boundary and the ledger does not move.
 
 Every mean over workers is :meth:`Cluster.average`, summed in worker order.
@@ -17,12 +18,12 @@ separately in ``samples_moved`` rather than being converted into vectors.
 Transport is "in_process" (default) or "tcp", in which case workers 2..k are
 :class:`~csl.transport.WorkerServer` processes reached through the frame
 protocol; each shard is placed on its worker once, as a raw float64 frame like
-every vector, and a failed round still reads every reply, so the next round
-starts in step. Shard contents are retained locally in both modes so that
-surrogate construction can evaluate local losses at the coordinator, and
-:meth:`Cluster.local_fit_round` runs other local fits (the lasso ones) on
-those copies, ledgered as a local-minimizer round; each retained shard is
-bound to one :class:`~csl.losses.ShardLoss` evaluator.
+every vector. Every round, on either transport, runs the coordinator's share
+on the shards it serves (all k in process, shard 1 over tcp) and reads every
+reply even when one fails, so the next round starts in step. Shard contents are
+retained locally in both modes, each bound to one
+:class:`~csl.losses.ShardLoss` evaluator, so that surrogate construction can
+evaluate local losses at the coordinator.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .losses import DataShard, LossModel, ShardLoss
-from .solvers import SolverSettings, local_fit
+from .solvers import FitRequest, SolverSettings, run_fit
 from .transport import WorkerClient, WorkerServer
 
 __all__ = ["CommLedger", "Cluster", "split_rows"]
@@ -96,7 +97,6 @@ class Cluster:
         elif transport != "in_process":
             raise ConfigError(f"unknown transport {transport!r}; "
                               "use 'in_process' or 'tcp'")
-        self.transport = transport
 
     def _connect_workers(self, addresses) -> None:
         """Start or reach workers 2..k and load their shards; on any failure,
@@ -140,37 +140,33 @@ class Cluster:
     def n_total(self) -> int:
         return self.n_per_shard * self.k
 
-    def _exchange(self, send: Callable[[WorkerClient], None],
-                  own: Callable[[], np.ndarray],
-                  recv: Callable[[WorkerClient], np.ndarray]) -> list[np.ndarray]:
-        """Send every worker its request, compute the coordinator's share, then
-        read every reply, in worker order. A failure anywhere is re-raised,
-        the first in worker order, only once every sent request has had its
-        reply read, so the next round finds no stale frame."""
-        results: list = [None] * self.k
-        failures: list[Exception | None] = [None] * self.k
+    def _round(self, vectors: int, run: Callable, send: Callable, recv: Callable) -> list:
+        """One round in worker order: ``send`` to every remote worker, ``run``
+        on each shard the coordinator serves, then ``recv`` every reply. The
+        first failure in worker order is re-raised only once every sent request
+        has had its reply read; a completed round meters ``vectors`` if k > 1."""
+        results, failures = [None] * self.k, [None] * self.k
 
-        def attempt(j: int, step: Callable, *args) -> None:
+        def attempt(j: int, step: Callable, arg) -> None:
             try:
-                results[j] = step(*args)
+                results[j] = step(arg)
             except Exception as exc:  # re-raised below, after the replies
                 failures[j] = exc
 
         for j, client in enumerate(self._clients, 1):
             attempt(j, send, client)
-        attempt(0, own)
+        for j, loss in enumerate(self.losses[:self.k - len(self._clients)]):
+            attempt(j, run, loss)
         for j, client in enumerate(self._clients, 1):
             if failures[j] is None:
                 attempt(j, recv, client)
         for exc in failures:
             if exc is not None:
                 raise exc
-        return results
-
-    def _meter(self, vectors: int) -> None:
         if self.k > 1:
             self.ledger.vectors_sent += vectors
             self.ledger.rounds += 1
+        return results
 
     def gradient_round(self, theta: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Broadcast theta, gather the k local gradients, average in worker order.
@@ -178,36 +174,18 @@ class Cluster:
         Returns (global gradient, local gradients). Costs 2*(k-1) vectors.
         """
         theta = self.losses[0].check_theta(theta)  # before any request goes out
-        if self._clients:
-            locals_ = self._exchange(lambda client: client.send_gradient_request(theta),
-                                     lambda: self.losses[0].gradient(theta),
-                                     WorkerClient.recv_gradient)
-        else:
-            locals_ = [loss.gradient(theta) for loss in self.losses]
-        self._meter(2 * (self.k - 1))
+        locals_ = self._round(2 * (self.k - 1), lambda loss: loss.gradient(theta),
+                              lambda client: client.send_gradient_request(theta),
+                              WorkerClient.recv_gradient)
         return self.average(locals_), locals_
 
-    def local_minimizer_round(self, settings: SolverSettings = SolverSettings()
-                              ) -> list[np.ndarray]:
-        """Each worker minimizes its own shard loss from zero; k-1 reply vectors.
-
-        Over tcp the request carries both solver settings, so remote fits
-        run exactly as in-process ones do.
-        """
-        if not self._clients:
-            return self.local_fit_round(lambda loss: local_fit(loss, settings))
-        fits = self._exchange(lambda client: client.send_local_min_request(settings),
-                              lambda: local_fit(self.losses[0], settings),
-                              WorkerClient.recv_local_min)
-        self._meter(self.k - 1)
-        return fits
-
-    def local_fit_round(self, fit: Callable[[ShardLoss], Any]) -> list:
-        """``fit`` applied to every retained shard evaluator in worker order;
-        ledgered as a local-minimizer round (k-1 reply vectors)."""
-        fits = [fit(loss) for loss in self.losses]
-        self._meter(self.k - 1)
-        return fits
+    def local_minimizer_round(self, request: FitRequest = SolverSettings()) -> list:
+        """Each worker's :func:`~csl.solvers.run_fit` of ``request`` on its own
+        shard: Newton fits for SolverSettings, SparseEstimates for a LassoFit.
+        k-1 reply vectors; remote fits run exactly as in-process ones do."""
+        return self._round(self.k - 1, lambda loss: run_fit(request, loss),
+                           lambda client: client.send_local_min_request(request),
+                           lambda client: client.recv_local_min(request))
 
     def average(self, values: list):
         """The mean of k per-worker values, summed in worker order from 0.0:

@@ -30,8 +30,8 @@ from .datagen import derive_rng, gen_logistic, gen_sparse_linear
 from .errors import ConfigError, CslError, DataError
 from .estimators import ONE_STEP, averaging_estimator, ilea, subsample_estimator
 from .inference import confidence_intervals, sigma_cross, sigma_local
-from .losses import LossModel
-from .solvers import minimize_shard_loss
+from .losses import LossModel, ShardLoss
+from .solvers import local_fit
 from .sparse import averaging_lasso, csl_lasso, lambda_heuristic, local_lasso
 from .surrogate import build_surrogate
 
@@ -176,7 +176,7 @@ def _sq_error(theta: np.ndarray, theta_star: np.ndarray) -> float:
 def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                 trial: int, emit) -> None:
     ledger0 = cluster.ledger.copy()
-    theta_global = minimize_shard_loss(cluster.model, cluster.pooled_shard(meter=True))
+    theta_global = local_fit(ShardLoss(cluster.model, cluster.pooled_shard(meter=True)))
     emit("global", "sq_error", _sq_error(theta_global, theta_star))
     emit("global", "samples_moved", cluster.ledger.samples_moved - ledger0.samples_moved)
     emit("global", "vectors_sent", 0)

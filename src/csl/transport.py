@@ -5,14 +5,17 @@ unsigned payload length, then the payload. Data travel in one encoding, raw
 ``<f8`` bytes from one encoder: a parameter vector as its d floats, and a shard
 as its shape ``<II`` (n, d) followed by y and then x row by row, which
 round-trips float64 exactly. A reply vector must hold exactly the d floats of
-the loaded shard. A local-min request carries the two SolverSettings fields
-packed as ``<dI`` (grad_tol, max_iters).
+the loaded shard. A Newton local-fit request (0x04) carries the SolverSettings
+as ``<dI`` (grad_tol, max_iters) and gets the fit's d floats back (0x05); a lasso
+request (0x07) carries ``<ddI`` (lam, NaN to calibrate; tol, max_iters) and gets
+``<dI?`` (objective, iterations, converged), then the fit's d floats (0x08).
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import socket
 import struct
 import threading
@@ -21,11 +24,11 @@ import numpy as np
 
 from .errors import CslError, WorkerError
 from .losses import DataShard, LossModel, ShardLoss
-from .solvers import SolverSettings, local_fit
+from .solvers import FitRequest, L1Settings, LassoFit, SolverSettings, SparseEstimate, run_fit
 
 __all__ = [
     "OP_LOAD_SHARD", "OP_EVAL_GRAD", "OP_GRAD_REPLY", "OP_LOCAL_MIN_REQ",
-    "OP_LOCAL_MIN_REPLY", "OP_SHUTDOWN", "OP_ERROR",
+    "OP_LOCAL_MIN_REPLY", "OP_SHUTDOWN", "OP_LASSO_REQ", "OP_LASSO_REPLY", "OP_ERROR",
     "pack_frame", "read_frame", "WorkerServer", "WorkerClient",
 ]
 
@@ -35,11 +38,15 @@ OP_GRAD_REPLY = 0x03
 OP_LOCAL_MIN_REQ = 0x04
 OP_LOCAL_MIN_REPLY = 0x05
 OP_SHUTDOWN = 0x06
+OP_LASSO_REQ = 0x07
+OP_LASSO_REPLY = 0x08
 OP_ERROR = 0x7F
 
 _HEADER = struct.Struct("<BI")
 _SHAPE = struct.Struct("<II")  # n, d of a shard payload
 _SETTINGS = struct.Struct("<dI")  # the SolverSettings fields, in order
+_LASSO = struct.Struct("<ddI")  # lam (NaN: calibrate), then the L1Settings fields
+_STATUS = struct.Struct("<dI?")  # objective, iterations, converged of a lasso fit
 _MAX_PAYLOAD = 1 << 31  # sanity bound, far above anything this package sends
 
 
@@ -174,18 +181,25 @@ class WorkerServer:
             return None
         if opcode == OP_SHUTDOWN:
             return None
-        if opcode not in (OP_EVAL_GRAD, OP_LOCAL_MIN_REQ):
+        if opcode not in (OP_EVAL_GRAD, OP_LOCAL_MIN_REQ, OP_LASSO_REQ):
             raise CslError(f"unknown opcode 0x{opcode:02x}")
         if self._loss is None:
             raise CslError("no shard loaded")
         if opcode == OP_EVAL_GRAD:
             grad = self._loss.gradient(_decode_vector(payload))
             return pack_frame(OP_GRAD_REPLY, _encode_vector(grad))
-        if len(payload) != _SETTINGS.size:
-            raise CslError(f"local-min request payload must be {_SETTINGS.size} "
-                           f"bytes, got {len(payload)}")
-        theta = local_fit(self._loss, SolverSettings(*_SETTINGS.unpack(payload)))
-        return pack_frame(OP_LOCAL_MIN_REPLY, _encode_vector(theta))
+        layout = _SETTINGS if opcode == OP_LOCAL_MIN_REQ else _LASSO
+        if len(payload) != layout.size:
+            raise CslError(f"{'local-min' if layout is _SETTINGS else 'lasso'} request "
+                           f"payload must be {layout.size} bytes, got {len(payload)}")
+        if layout is _SETTINGS:
+            theta = run_fit(SolverSettings(*_SETTINGS.unpack(payload)), self._loss)
+            return pack_frame(OP_LOCAL_MIN_REPLY, _encode_vector(theta))
+        lam, tol, max_iters = _LASSO.unpack(payload)
+        fit = run_fit(LassoFit(None if math.isnan(lam) else lam, L1Settings(tol, max_iters)),
+                      self._loss)
+        status = _STATUS.pack(fit.objective_value, fit.iterations, fit.converged)
+        return pack_frame(OP_LASSO_REPLY, status + _encode_vector(fit.theta))
 
 
 class WorkerClient:
@@ -210,8 +224,8 @@ class WorkerClient:
         except OSError as exc:
             raise self._error(f"send failed: {exc}")
 
-    def _expect_vector(self, opcode: int) -> np.ndarray:
-        """The reply frame ``opcode``, which must hold the loaded shard's d floats."""
+    def _expect_vector(self, opcode: int, head: int = 0) -> tuple[bytes, np.ndarray]:
+        """The reply frame ``opcode``: ``head`` status bytes, then the shard's d floats."""
         try:
             got, payload = read_frame(self._sock)
         except OSError as exc:  # ConnectionError included
@@ -220,10 +234,10 @@ class WorkerClient:
             raise self._error(f"remote error: {payload.decode('utf-8', 'replace')}")
         if got != opcode:
             raise self._error(f"expected opcode 0x{opcode:02x}, got 0x{got:02x}")
-        if self._d is None or len(payload) != 8 * self._d:
+        if self._d is None or len(payload) != head + 8 * self._d:
             raise self._error(f"reply of {len(payload)} bytes is not the d={self._d} "
-                              "floats of the loaded shard")
-        return _decode_vector(payload)
+                              f"floats of the loaded shard after {head} status bytes")
+        return payload[:head], _decode_vector(payload[head:])
 
     def load_shard(self, shard: DataShard) -> None:
         self._send(OP_LOAD_SHARD, _SHAPE.pack(shard.n_samples, shard.n_features)
@@ -234,13 +248,21 @@ class WorkerClient:
         self._send(OP_EVAL_GRAD, _encode_vector(theta))
 
     def recv_gradient(self) -> np.ndarray:
-        return self._expect_vector(OP_GRAD_REPLY)
+        return self._expect_vector(OP_GRAD_REPLY)[1]
 
-    def send_local_min_request(self, settings: SolverSettings) -> None:
-        self._send(OP_LOCAL_MIN_REQ, _SETTINGS.pack(*dataclasses.astuple(settings)))
+    def send_local_min_request(self, request: FitRequest) -> None:
+        if isinstance(request, LassoFit):
+            lam = math.nan if request.lam is None else request.lam
+            return self._send(OP_LASSO_REQ,
+                              _LASSO.pack(lam, *dataclasses.astuple(request.settings)))
+        self._send(OP_LOCAL_MIN_REQ, _SETTINGS.pack(*dataclasses.astuple(request)))
 
-    def recv_local_min(self) -> np.ndarray:
-        return self._expect_vector(OP_LOCAL_MIN_REPLY)
+    def recv_local_min(self, request: FitRequest) -> np.ndarray | SparseEstimate:
+        """The reply to ``request``: the Newton fit, or the lasso SparseEstimate."""
+        if not isinstance(request, LassoFit):
+            return self._expect_vector(OP_LOCAL_MIN_REPLY)[1]
+        status, theta = self._expect_vector(OP_LASSO_REPLY, _STATUS.size)
+        return SparseEstimate(theta, *_STATUS.unpack(status))
 
     def shutdown(self) -> None:
         with contextlib.suppress(OSError):

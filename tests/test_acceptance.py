@@ -25,7 +25,7 @@ from csl.estimators import averaging_estimator, ilea, minimize_surrogate, one_st
 from csl.experiments import desk_presets, results_hash, run_experiment
 from csl.inference import sandwich
 from csl.losses import DataShard, LossModel, ShardLoss
-from csl.solvers import minimize_shard_loss
+from csl.solvers import local_fit
 from csl.sparse import L1Settings, csl_lasso, fista_l1, local_lasso
 from csl.surrogate import build_surrogate
 
@@ -89,7 +89,7 @@ def test_criterion_02_single_machine_reductions(capfd):
             cluster = Cluster(LossModel.logistic(), [pooled])
             s = build_surrogate(cluster, np.zeros(3))
             via_surrogate = minimize_surrogate(s)
-            direct = minimize_shard_loss(cluster.model, pooled)
+            direct = local_fit(ShardLoss(cluster.model, pooled))
             assert float(np.max(np.abs(via_surrogate - direct))) < 1e-8
 
             shards, _ = gen_sparse_linear(d=12, n=80, k=1, s=3, sigma=0.5,

@@ -5,6 +5,7 @@ from csl.cluster import CommLedger, Cluster, split_rows
 from csl.datagen import gen_logistic
 from csl.errors import ConfigError, DataError
 from csl.losses import DataShard, LossModel, ShardLoss
+from csl.solvers import LassoFit, SolverSettings, run_fit
 
 
 def make_cluster(k, n=32, d=3, seed=0):
@@ -68,15 +69,20 @@ class TestLedger:
         assert cluster.ledger.vectors_sent == 3
         assert cluster.ledger.rounds == 1
 
-    def test_local_fit_round_maps_shards_in_worker_order(self):
-        cluster = make_cluster(4)
-        seen = cluster.local_fit_round(lambda loss: loss.shard)
-        assert all(a is b for a, b in zip(seen, cluster.shards))
-        assert len(seen) == 4
-        assert cluster.ledger == CommLedger(3, 1, 0)
-        single = make_cluster(1)
-        single.local_fit_round(lambda loss: loss.shard)
-        assert single.ledger == CommLedger(0, 0, 0)
+    def test_local_minimizer_round_fits_shards_in_worker_order(self):
+        for request in (SolverSettings(), LassoFit(0.05)):
+            cluster = make_cluster(4)
+            fits = cluster.local_minimizer_round(request)
+            assert len(fits) == 4
+            for fit, shard in zip(fits, cluster.shards):
+                want = run_fit(request, ShardLoss(cluster.model, shard))
+                # a Newton fit is the point; a lasso fit carries it as theta
+                assert (getattr(fit, "theta", fit).tobytes()
+                        == getattr(want, "theta", want).tobytes())
+            assert cluster.ledger == CommLedger(3, 1, 0)
+            single = make_cluster(1)
+            single.local_minimizer_round(request)
+            assert single.ledger == CommLedger(0, 0, 0)
 
     def test_pooling_moves_samples_not_vectors(self):
         cluster = make_cluster(4, n=32)

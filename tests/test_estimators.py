@@ -7,8 +7,8 @@ from csl.errors import DataError, SingularHessianError
 from csl.estimators import (EXACT_SURROGATE, ONE_STEP, averaging_estimator,
                             ilea, minimize_surrogate, one_step_update,
                             subsample_estimator)
-from csl.losses import DataShard, LossModel
-from csl.solvers import minimize_shard_loss
+from csl.losses import DataShard, LossModel, ShardLoss
+from csl.solvers import local_fit
 from csl.surrogate import build_surrogate
 
 from conftest import gauss_jordan_inverse
@@ -67,13 +67,13 @@ class TestMinimizeSurrogate:
         cluster = logistic_cluster(k=1, n=200, seed=31)
         s = build_surrogate(cluster, np.zeros(cluster.d))
         got = minimize_surrogate(s)
-        want = minimize_shard_loss(cluster.model, cluster.shards[0])
+        want = local_fit(ShardLoss(cluster.model, cluster.shards[0]))
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_modes_agree_near_the_optimum(self):
         cluster = logistic_cluster(n=200, seed=37)
         pooled = cluster.pooled_shard(meter=False)
-        optimum = minimize_shard_loss(cluster.model, pooled)
+        optimum = local_fit(ShardLoss(cluster.model, pooled))
         anchor = optimum + 0.01
         s = build_surrogate(cluster, anchor)
         exact = minimize_surrogate(s)
@@ -85,7 +85,7 @@ class TestIlea:
     def test_iterates_contract_toward_global_fit(self):
         cluster = logistic_cluster(d=3, k=8, n=120, seed=41)
         pooled = cluster.pooled_shard(meter=False)
-        optimum = minimize_shard_loss(cluster.model, pooled)
+        optimum = local_fit(ShardLoss(cluster.model, pooled))
         traj = ilea(cluster, theta0=np.zeros(3), rounds=4)
         dists = [np.linalg.norm(it - optimum) for it in traj.iterates]
         assert dists[-1] < dists[0]
@@ -116,7 +116,7 @@ class TestIlea:
     def test_exact_surrogate_mode_runs_and_converges(self):
         cluster = logistic_cluster(d=3, k=4, n=150, seed=47)
         pooled = cluster.pooled_shard(meter=False)
-        optimum = minimize_shard_loss(cluster.model, pooled)
+        optimum = local_fit(ShardLoss(cluster.model, pooled))
         traj = ilea(cluster, theta0=np.zeros(3), rounds=6,
                     mode=EXACT_SURROGATE)
         assert traj.mode == EXACT_SURROGATE
@@ -142,7 +142,7 @@ class TestIlea:
 class TestBaselines:
     def test_averaging_is_ordered_mean_of_local_fits(self):
         cluster = logistic_cluster(k=3, seed=53)
-        fits = [minimize_shard_loss(cluster.model, shard)
+        fits = [local_fit(ShardLoss(cluster.model, shard))
                 for shard in cluster.shards]
         want = np.zeros(cluster.d)
         for fit in fits:
@@ -154,6 +154,6 @@ class TestBaselines:
     def test_subsample_fits_first_shard_only(self):
         cluster = logistic_cluster(k=3, seed=59)
         got = subsample_estimator(cluster)
-        want = minimize_shard_loss(cluster.model, cluster.shards[0])
+        want = local_fit(ShardLoss(cluster.model, cluster.shards[0]))
         np.testing.assert_array_equal(got, want)
         assert cluster.ledger.vectors_sent == 0

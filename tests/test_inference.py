@@ -8,8 +8,8 @@ from csl.datagen import derive_rng
 from csl.errors import DataError, SingularHessianError
 from csl.inference import (confidence_intervals, normal_quantile, sandwich,
                            sigma_cross, sigma_global, sigma_local)
-from csl.losses import DataShard, LossModel
-from csl.solvers import minimize_shard_loss
+from csl.losses import DataShard, LossModel, ShardLoss
+from csl.solvers import local_fit
 from csl.surrogate import build_surrogate
 
 from conftest import gauss_jordan_inverse
@@ -82,7 +82,7 @@ class TestSigmaGlobal:
         x = np.ones((n, 1))
         y = (rng.uniform(size=n) < 0.5).astype(float)
         cluster = Cluster(LossModel.logistic(), [DataShard(x=x, y=y)])
-        mle = minimize_shard_loss(cluster.model, cluster.shards[0])
+        mle = local_fit(ShardLoss(cluster.model, cluster.shards[0]))
         cov = sigma_global(cluster, mle)
         assert cov[0, 0] == pytest.approx(4.0, rel=0.05)
 

@@ -4,7 +4,7 @@ from conftest import gd_minimize
 
 from csl.errors import DataError, NonConvergenceError
 from csl.losses import DataShard, LossModel, ShardLoss
-from csl.solvers import SolverSettings, minimize_shard_loss, newton_minimize
+from csl.solvers import SolverSettings, local_fit, newton_minimize
 
 
 def quadratic_objective(target):
@@ -45,7 +45,7 @@ def test_logistic_fit_matches_first_order_oracle():
     y = (rng.uniform(size=200) < 1.0 / (1.0 + np.exp(-x @ truth))).astype(float)
     shard = DataShard(x=x, y=y)
     model = LossModel.logistic()
-    fit = minimize_shard_loss(model, shard)
+    fit = local_fit(ShardLoss(model, shard))
     oracle = gd_minimize(lambda t: ShardLoss(model, shard).eval(t, 1), np.zeros(3))
     np.testing.assert_allclose(fit, oracle, rtol=0, atol=1e-7)
 
@@ -70,7 +70,7 @@ def test_separable_logistic_raises_nonconvergence_with_payload():
     shard = DataShard(x=x, y=y)
     settings = SolverSettings(max_iters=8)
     with pytest.raises(NonConvergenceError) as info:
-        minimize_shard_loss(LossModel.logistic(), shard, settings)
+        local_fit(ShardLoss(LossModel.logistic(), shard), settings)
     err = info.value
     assert err.last_iterate is not None and np.all(np.isfinite(err.last_iterate))
     assert err.gradient_norm is not None and err.gradient_norm > 0.0
@@ -84,7 +84,7 @@ def test_nonfinite_candidate_is_backtracked_not_fatal():
     x = rng.standard_normal((50, 2))
     y = rng.poisson(1.5, size=50).astype(float)
     shard = DataShard(x=x, y=y)
-    fit = minimize_shard_loss(LossModel.glm("log"), shard)
+    fit = local_fit(ShardLoss(LossModel.glm("log"), shard))
     value, grad = ShardLoss(LossModel.glm("log"), shard).eval(fit, 1)
     assert np.isfinite(value)
     assert np.max(np.abs(grad)) <= 1e-8

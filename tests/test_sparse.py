@@ -155,6 +155,8 @@ class TestFista:
             L1Settings(tol=-1.0)
         with pytest.raises(DataError):
             L1Settings(max_iters=0)
+        with pytest.raises(DataError):
+            L1Settings(max_iters=2 ** 32)  # past the lasso request's u32 field
 
 
 class TestCalibration:
@@ -280,6 +282,14 @@ class TestAveragingLasso:
         averaging_lasso(cluster, lam=0.3)
         assert cluster.ledger.vectors_sent == 4
         assert cluster.ledger.rounds == 1
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
+    def test_penalty_is_none_or_finite_and_nonnegative(self, lam):
+        # NaN is also the wire's calibrate marker, so it must never be a penalty
+        cluster, _ = sparse_cluster(k=3)
+        with pytest.raises(DataError, match="lam must be None or a finite value"):
+            averaging_lasso(cluster, lam=lam)
+        assert cluster.ledger.rounds == 0
 
 
 def wide_shard(seed=43, n=80, d=200, s=5):

@@ -8,14 +8,16 @@ import pytest
 
 from csl import transport
 from csl.cluster import Cluster
-from csl.datagen import gen_logistic
+from csl.datagen import gen_logistic, gen_sparse_linear
 from csl.errors import DataError, NonConvergenceError, WorkerError
 from csl.estimators import subsample_estimator
 from csl.losses import DataShard, LossModel, ShardLoss
-from csl.solvers import SolverSettings, minimize_shard_loss
-from csl.transport import (OP_ERROR, OP_EVAL_GRAD, OP_GRAD_REPLY, OP_LOAD_SHARD,
-                           OP_LOCAL_MIN_REPLY, OP_LOCAL_MIN_REQ, WorkerClient,
-                           WorkerServer, pack_frame, read_frame)
+from csl.solvers import L1Settings, LassoFit, SolverSettings, local_fit
+from csl.sparse import averaging_lasso
+from csl.transport import (OP_ERROR, OP_EVAL_GRAD, OP_GRAD_REPLY, OP_LASSO_REPLY,
+                           OP_LASSO_REQ, OP_LOAD_SHARD, OP_LOCAL_MIN_REPLY,
+                           OP_LOCAL_MIN_REQ, WorkerClient, WorkerServer, pack_frame,
+                           read_frame)
 
 
 def test_frame_layout_is_little_endian():
@@ -79,18 +81,21 @@ class TestWorkerProtocol:
         client = WorkerClient(worker.address, worker_index=2)
         client.load_shard(shard)
         client.send_local_min_request(SolverSettings(grad_tol=1e-8))
-        remote = client.recv_local_min()
-        local = minimize_shard_loss(LossModel.logistic(), shard)
+        remote = client.recv_local_min(SolverSettings(grad_tol=1e-8))
+        local = local_fit(ShardLoss(LossModel.logistic(), shard))
         np.testing.assert_array_equal(remote, local)
         client.shutdown()
 
     def test_short_local_min_request_gets_error_frame(self, worker):
         client = WorkerClient(worker.address, worker_index=2)
         client.load_shard(make_shard(seed=2))
-        # a lone grad_tol, as an older coordinator would send it
-        client._send(OP_LOCAL_MIN_REQ, struct.pack("<d", 1e-8))
-        with pytest.raises(WorkerError, match="local-min request payload"):
-            client.recv_local_min()
+        # a lone tolerance, as an older coordinator would send a Newton request;
+        # an error frame leaves the connection open for the next request
+        for opcode, request, kind in [(OP_LOCAL_MIN_REQ, SolverSettings(), "local-min"),
+                                      (OP_LASSO_REQ, LassoFit(0.1), "lasso")]:
+            client._send(opcode, struct.pack("<d", 1e-8))
+            with pytest.raises(WorkerError, match=f"{kind} request payload"):
+                client.recv_local_min(request)
         client.close()
 
     def test_request_before_load_gets_error_frame(self, worker):
@@ -224,13 +229,37 @@ class TestTcpCluster:
 
     def test_largest_max_iters_travels(self):
         pooled, _ = gen_logistic(3, 300, 4)
-        widest = SolverSettings(max_iters=2 ** 32 - 1)
-        with Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
-                                 transport="tcp") as over_tcp:
-            fits_tcp = over_tcp.local_minimizer_round(widest)
-        plain = Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3)
-        for a, b in zip(fits_tcp, plain.local_minimizer_round(widest)):
-            np.testing.assert_array_equal(a, b)
+        for settings in (SolverSettings, L1Settings):
+            with pytest.raises(DataError, match="max_iters"):
+                settings(max_iters=2 ** 32)  # one past the wire's u32 field
+        for widest in (SolverSettings(max_iters=2 ** 32 - 1),
+                       LassoFit(0.01, L1Settings(max_iters=2 ** 32 - 1))):
+            with Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
+                                     transport="tcp") as over_tcp:
+                fits_tcp = over_tcp.local_minimizer_round(widest)
+            plain = Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3)
+            for a, b in zip(fits_tcp, plain.local_minimizer_round(widest)):
+                assert getattr(a, "theta", a).tobytes() == getattr(b, "theta", b).tobytes()
+
+    @pytest.mark.parametrize("lam, settings", [(0.05, L1Settings()), (None, L1Settings()),
+                                               (0.05, L1Settings(max_iters=3))],
+                             ids=["fixed", "calibrated", "unconverged"])
+    def test_averaging_lasso_over_tcp_is_bitwise_in_process(self, lam, settings):
+        shards, _ = gen_sparse_linear(d=50, n=40, k=3, s=4, sigma=0.5, seed_or_rng=12)
+        plain = Cluster(LossModel.linear(), shards)
+        with Cluster(LossModel.linear(), shards, transport="tcp") as over_tcp:
+            fits_tcp = over_tcp.local_minimizer_round(LassoFit(lam, settings))
+            fit_tcp = averaging_lasso(over_tcp, lam, settings)
+        fits = (plain.local_minimizer_round(LassoFit(lam, settings))
+                + [averaging_lasso(plain, lam, settings)])
+        for got, want in zip(fits_tcp + [fit_tcp], fits):
+            assert got.theta.tobytes() == want.theta.tobytes()
+            assert struct.pack("<d", got.objective_value) == struct.pack(
+                "<d", want.objective_value)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.count_nonzero(fit_tcp.theta) > 0
+        assert fit_tcp.converged == (settings.max_iters > 3)
+        assert over_tcp.ledger == plain.ledger
 
     def test_failed_connect_shuts_down_earlier_workers(self):
         pooled, _ = gen_logistic(2, 30, 3)
@@ -282,8 +311,9 @@ class TestTcpCluster:
 
 
 def test_socket_vector_bytes_match_the_ledger(monkeypatch):
-    """Payload bytes of the vector frames read off the sockets in a round are
-    8*d per ledger vector; headers and the settings request count apart."""
+    """Payload bytes of the vectors read off the sockets in a round are 8*d
+    per ledger vector; headers, settings requests and the lasso status count
+    apart."""
     frames, received = [], []
     recv_exact, read = transport._recv_exact, transport.read_frame
 
@@ -306,23 +336,31 @@ def test_socket_vector_bytes_match_the_ledger(monkeypatch):
         # A worker reads its shard frame after load_shard returns; once a
         # round has been answered, every shard frame has been read.
         cluster.gradient_round(np.zeros(d))
+        # (round, request opcode, reply opcode, settings bytes per request or
+        # None for a vector request, status bytes per reply)
         rounds = [(lambda: cluster.gradient_round(np.zeros(d)),
-                   {OP_EVAL_GRAD: 2, OP_GRAD_REPLY: 2}),
+                   OP_EVAL_GRAD, OP_GRAD_REPLY, None, 0),
                   (lambda: cluster.local_minimizer_round(),
-                   {OP_LOCAL_MIN_REQ: 2, OP_LOCAL_MIN_REPLY: 2})]
-        for run_round, opcodes in rounds:
+                   OP_LOCAL_MIN_REQ, OP_LOCAL_MIN_REPLY, transport._SETTINGS.size, 0),
+                  (lambda: cluster.local_minimizer_round(LassoFit(0.01)),
+                   OP_LASSO_REQ, OP_LASSO_REPLY, transport._LASSO.size,
+                   transport._STATUS.size)]
+        for run_round, request_op, reply_op, settings_size, status_size in rounds:
             frames.clear()
             received.clear()
             vectors = cluster.ledger.vectors_sent
             run_round()
             vectors = cluster.ledger.vectors_sent - vectors
-            assert sorted(op for op, _ in frames) == sorted(
-                op for op, count in opcodes.items() for _ in range(count))
-            vector_bytes = sum(size for op, size in frames if op != OP_LOCAL_MIN_REQ)
+            assert sorted(op for op, _ in frames) == sorted([request_op, reply_op] * 2)
+            request_bytes = sum(size for op, size in frames if op == request_op)
+            reply_bytes = sum(size for op, size in frames if op == reply_op)
+            vector_bytes = reply_bytes - 2 * status_size
+            if settings_size is None:
+                vector_bytes += request_bytes
+            else:
+                assert request_bytes == 2 * settings_size
             assert vector_bytes == 8 * d * vectors
-            settings_bytes = sum(size for op, size in frames if op == OP_LOCAL_MIN_REQ)
-            assert settings_bytes == transport._SETTINGS.size * opcodes.get(OP_LOCAL_MIN_REQ, 0)
-            assert sum(received) == (vector_bytes + settings_bytes
+            assert sum(received) == (request_bytes + reply_bytes
                                      + transport._HEADER.size * len(frames))
 
 
@@ -476,7 +514,8 @@ class TestFaultInjection:
     @pytest.mark.parametrize("round_, opcode", [
         (lambda cluster: cluster.gradient_round(np.zeros(3)), OP_GRAD_REPLY),
         (lambda cluster: cluster.local_minimizer_round(), OP_LOCAL_MIN_REPLY),
-    ], ids=["gradient", "local-min"])
+        (lambda cluster: cluster.local_minimizer_round(LassoFit(0.1)), OP_LASSO_REPLY),
+    ], ids=["gradient", "local-min", "lasso"])
     def test_malformed_reply_names_its_worker(self, round_, opcode, reply_floats):
         payload = np.zeros(4).tobytes()[:int(8 * reply_floats)]
         fake = FakeWorker(lambda fake, conn: conn.sendall(pack_frame(opcode, payload)))

@@ -12,8 +12,8 @@ from .cluster import CommLedger, Cluster, split_rows
 from .datagen import derive_rng, gen_logistic, gen_sparse_linear
 from .errors import (ConfigError, CslError, DataError, NonConvergenceError,
                      SingularHessianError, WorkerError)
-from .estimators import (EXACT_SURROGATE, ONE_STEP, IleaTrajectory, averaging_estimator,
-                         ilea, minimize_surrogate, one_step_update, subsample_estimator)
+from .estimators import (IleaTrajectory, averaging_estimator, ilea, minimize_surrogate,
+                         one_step_update, subsample_estimator)
 from .experiments import (ExperimentConfig, RunResult, config_from_mapping, desk_presets,
                           paper_presets, parse_config_text, report, results_hash,
                           run_experiment)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import CslError, DataError
-from .estimators import ONE_STEP, ilea, subsample_estimator
+from .estimators import ilea, subsample_estimator
 from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
@@ -110,6 +110,8 @@ def metropolis(log_target: Callable[[np.ndarray], float], theta0: np.ndarray,
     accepted outright. The first ``iters // 2`` rows are burn-in; slice
     ``samples`` for another split.
     """
+    if iters < 1:
+        raise DataError("iters must be >= 1")
     theta = np.array(theta0, dtype=np.float64)
     d = theta.shape[0]
     current = float(log_target(theta))
@@ -185,7 +187,7 @@ def run_csl_bayes(cluster: Cluster, prior: Prior,
     first half of the chain is burn-in.
     """
     start = subsample_estimator(cluster)
-    anchor = ilea(cluster, start, rounds=_INIT_ROUNDS, mode=ONE_STEP).final
+    anchor = ilea(cluster, start, rounds=_INIT_ROUNDS).final
     surr = build_surrogate(cluster, anchor)
     n_total = cluster.n_total
     hbar = float(np.mean(np.diag(surr.loss.eval(anchor, 2)[2])))

@@ -1,9 +1,10 @@
 """Point estimators over a cluster: surrogate minimization, one-step updates,
-the iterated surrogate scheme, and the subsample/averaging baselines.
+the iterated one-step scheme, and the subsample/averaging baselines.
 
-There is one surrogate (:mod:`csl.surrogate`). The exact update minimizes it
-by Newton's method; the one-step update is a single Newton step on it from
-the anchor, where its gradient is the pooled gradient.
+There is one surrogate (:mod:`csl.surrogate`). The exact estimator minimizes
+it by Newton's method; the one-step update is a single Newton step on it from
+the anchor, where its gradient is the pooled gradient, and :func:`ilea`
+repeats that update round after round.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ from .solvers import local_fit, newton_minimize
 from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
-    "EXACT_SURROGATE", "ONE_STEP", "IleaTrajectory",
-    "minimize_surrogate", "one_step_update", "ilea",
+    "IleaTrajectory", "minimize_surrogate", "one_step_update", "ilea",
     "averaging_estimator", "subsample_estimator",
 ]
-
-EXACT_SURROGATE = "exact_surrogate"
-ONE_STEP = "one_step"
 
 # A curvature matrix whose smallest eigenvalue is at or below this is treated
 # as singular rather than inverted.
@@ -62,7 +59,6 @@ class IleaTrajectory:
     What the run cost is on the cluster's ledger.
     """
 
-    mode: str
     iterates: list[np.ndarray]
 
     @property
@@ -74,38 +70,31 @@ class IleaTrajectory:
         return len(self.iterates) - 1
 
 
-def ilea(cluster: Cluster, theta0: np.ndarray | None = None, rounds: int = 3,
-         mode: str = ONE_STEP) -> IleaTrajectory:
-    """Iterate surrogate builds from theta0: each round is one gradient round
-    (2*(k-1) vectors) followed by a purely local solve.
+def ilea(cluster: Cluster, theta0: np.ndarray | None = None,
+         rounds: int = 3) -> IleaTrajectory:
+    """Iterate one-step refits from theta0: each round is one gradient round
+    (2*(k-1) vectors) to build the surrogate, then :func:`one_step_update`.
 
     theta0=None starts from the averaging estimator, which adds its own k-1
     reply vectors before the rounds begin; pass an explicit start to keep the
-    cost at exactly 2*rounds*(k-1). mode "one_step" takes one Newton step on
-    each surrogate; "exact_surrogate" Newton-minimizes it. Solver failures
-    propagate with the failing round prefixed to the message.
+    cost at exactly 2*rounds*(k-1). Solver failures propagate with the failing
+    round prefixed to the message.
     """
     if rounds < 0:
         raise DataError("rounds must be >= 0")
-    if mode not in (EXACT_SURROGATE, ONE_STEP):
-        raise DataError(f"unknown mode {mode!r}; use {EXACT_SURROGATE!r} or {ONE_STEP!r}")
     if theta0 is None:
         theta0 = averaging_estimator(cluster)
     theta = np.array(theta0, dtype=np.float64)
     iterates = [theta.copy()]
     for t in range(1, rounds + 1):
         try:
-            surr = build_surrogate(cluster, theta)
-            if mode == ONE_STEP:
-                theta = one_step_update(surr)
-            else:
-                theta = minimize_surrogate(surr)
+            theta = one_step_update(build_surrogate(cluster, theta))
         except CslError as exc:
             annotated = type(exc)(f"round {t}: {exc}")
             annotated.__dict__.update(exc.__dict__)
             raise annotated from exc
         iterates.append(theta.copy())
-    return IleaTrajectory(mode=mode, iterates=iterates)
+    return IleaTrajectory(iterates=iterates)
 
 
 def averaging_estimator(cluster: Cluster) -> np.ndarray:

@@ -28,11 +28,11 @@ from .bayes import McmcSettings, Prior, full_log_posterior, marginal_l1, metropo
 from .cluster import Cluster
 from .datagen import derive_rng, gen_logistic, gen_sparse_linear
 from .errors import ConfigError, CslError, DataError
-from .estimators import ONE_STEP, averaging_estimator, ilea, subsample_estimator
+from .estimators import averaging_estimator, ilea, subsample_estimator
 from .inference import confidence_intervals, sigma_cross, sigma_local
 from .losses import LossModel, ShardLoss
-from .solvers import local_fit
-from .sparse import averaging_lasso, csl_lasso, lambda_heuristic, local_lasso
+from .solvers import lambda_heuristic, local_fit
+from .sparse import averaging_lasso, csl_lasso, local_lasso
 from .surrogate import build_surrogate
 
 __all__ = [
@@ -192,7 +192,7 @@ def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarr
     emit("averaging", "vectors_sent", averaging_cost)
 
     ledger0 = cluster.ledger.copy()
-    trajectory = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP)
+    trajectory = ilea(cluster, theta_avg, rounds=config.rounds)
     per_round = (cluster.ledger.vectors_sent - ledger0.vectors_sent) // trajectory.rounds
     for t in range(1, trajectory.rounds + 1):
         emit(f"csl_{t}", "sq_error", _sq_error(trajectory.iterates[t], theta_star))
@@ -202,7 +202,7 @@ def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarr
 def _coverage_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                     trial: int, emit) -> None:
     theta_avg = averaging_estimator(cluster)
-    center = ilea(cluster, theta_avg, rounds=config.rounds, mode=ONE_STEP).final
+    center = ilea(cluster, theta_avg, rounds=config.rounds).final
     emit("csl", "sq_error", _sq_error(center, theta_star))
 
     surr = build_surrogate(cluster, center)

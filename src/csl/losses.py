@@ -1,13 +1,14 @@
 """Loss families evaluated on data shards.
 
-Every loss is an empirical mean over one shard: logistic log-loss, unhalved
-squared error, and canonical generalized linear models written as
-``mean(-y*u + phi(u))`` with ``u = x @ theta``. :class:`ShardLoss` binds a
-model to a shard, checks the response once, and returns the value, gradient
-and Hessian up to a requested order from one pass over the rows. An evaluator
-holds its own scratch vectors, so a value allocates no n-length array, and
-one evaluator must not be called from two threads at once. All evaluations are
-plain numpy; nothing here talks to the cluster or the ledger.
+Every loss is an empirical mean over one shard: unhalved squared error, or
+the logistic or Poisson negative log-likelihood, each a canonical generalized
+linear model written as ``mean(-y*u + phi(u))`` with ``u = x @ theta``.
+:class:`ShardLoss` binds a model to a shard, checks the response once, and
+returns the value, gradient and Hessian up to a requested order from one pass
+over the rows. An evaluator holds its own scratch vectors, so a value
+allocates no n-length array, and one evaluator must not be called from two
+threads at once. All evaluations are plain numpy; nothing here talks to the
+cluster or the ledger.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ class Link:
     called with u alone, it returns a fresh array, as the derivatives do.
     """
 
-    name: str
     phi: Callable[..., np.ndarray]
     phi_prime: Callable[[np.ndarray], np.ndarray]
     phi_double: Callable[[np.ndarray], np.ndarray]
@@ -83,21 +83,19 @@ class Link:
     nonnegative_response: bool = False
 
 
-_LINKS = {
-    "logit": Link(name="logit", phi=softplus, phi_prime=sigmoid,
-                  phi_double=_logistic_weight, binary_response=True),
-    "log": Link(name="log", phi=_exp, phi_prime=_exp, phi_double=_exp,
-                nonnegative_response=True),
-}
+_LOGIT = Link(phi=softplus, phi_prime=sigmoid, phi_double=_logistic_weight,
+              binary_response=True)
+_LOG = Link(phi=_exp, phi_prime=_exp, phi_double=_exp, nonnegative_response=True)
 
 
 @dataclass(frozen=True)
 class LossModel:
-    """A loss family. Construct via :meth:`logistic`, :meth:`linear` or :meth:`glm`.
+    """A loss family. Construct via :meth:`logistic`, :meth:`poisson` or
+    :meth:`linear`.
 
-    ``logistic()`` is the GLM with the logit link; ``linear()`` is the unhalved
-    squared error ``mean((y - u)**2)`` whose gradient therefore carries a
-    factor 2.
+    ``logistic()`` is the GLM with the logit link and ``poisson()`` the GLM
+    with the log link; ``linear()`` is the unhalved squared error
+    ``mean((y - u)**2)`` whose gradient therefore carries a factor 2.
     """
 
     family: str
@@ -105,18 +103,15 @@ class LossModel:
 
     @classmethod
     def logistic(cls) -> "LossModel":
-        return cls(family="logistic", link=_LINKS["logit"])
+        return cls(family="logistic", link=_LOGIT)
+
+    @classmethod
+    def poisson(cls) -> "LossModel":
+        return cls(family="poisson", link=_LOG)
 
     @classmethod
     def linear(cls) -> "LossModel":
         return cls(family="linear", link=None)
-
-    @classmethod
-    def glm(cls, link: str) -> "LossModel":
-        """The canonical GLM with link "logit" or "log" (Poisson)."""
-        if link not in _LINKS:
-            raise DataError(f"unknown link {link!r}; known: {sorted(_LINKS)}")
-        return cls(family=f"glm-{link}", link=_LINKS[link])
 
     def validate_response(self, y: np.ndarray) -> None:
         if self.link is not None and self.link.binary_response:

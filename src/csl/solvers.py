@@ -15,10 +15,12 @@ gradient over all columns. The fit is certified only when the subgradient
 condition holds on every column at the stopping slack; otherwise the columns
 that break it, largest first, join the set and the next pass starts from the
 current fit. The passes share the iteration budget of :class:`L1Settings`.
+Every penalty must be finite and >= 0.
 
 :func:`run_fit` serves a typed local-fit request from zero,
 :class:`SolverSettings` for the Newton fit or :class:`LassoFit` for the lasso,
-on the coordinator's shards and on a tcp worker's alike.
+on the coordinator's shards and on a tcp worker's alike; every local lasso of
+:mod:`csl.sparse` is such a request.
 """
 
 from __future__ import annotations
@@ -310,8 +312,8 @@ def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
     iterations for a larger one, and where a pass stalled moves no later
     budget. ``iterations`` is the total the passes ran.
     """
-    if lam < 0.0:
-        raise DataError("lam must be >= 0")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DataError("lam must be a finite value >= 0")
     theta = np.array(theta0, dtype=np.float64)
     slack = 10.0 * settings.tol
     value, grad = loss.eval(theta, 1)
@@ -346,22 +348,6 @@ def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
                           iterations=iterations, converged=converged)
 
 
-def _local_lasso(loss: ShardLoss, lam: float | None,
-                 settings: L1Settings) -> SparseEstimate:
-    """:func:`local_lasso` on a bound shard evaluator."""
-    theta = np.zeros(loss.shard.n_features)
-    if lam is not None:
-        return _working_set_lasso(loss, lam, theta, settings)
-    estimate = None
-    for _ in range(_REFIT_PASSES):
-        sigma_hat = _noise_sd(loss, theta)
-        lam_pass = lambda_heuristic(sigma_hat, loss.shard.n_features,
-                                    loss.shard.n_samples)
-        estimate = _working_set_lasso(loss, lam_pass, theta, settings)
-        theta = estimate.theta
-    return estimate
-
-
 @dataclass(frozen=True)
 class LassoFit:
     """A request for the local lasso fit from zero: the penalty, or None to
@@ -379,8 +365,23 @@ FitRequest = SolverSettings | LassoFit
 
 
 def run_fit(request: FitRequest, loss: ShardLoss) -> np.ndarray | SparseEstimate:
-    """Serve one local-fit request on a bound shard evaluator: the Newton fit
-    for :class:`SolverSettings`, a :class:`SparseEstimate` for :class:`LassoFit`."""
-    if isinstance(request, LassoFit):
-        return _local_lasso(loss, request.lam, request.settings)
-    return local_fit(loss, request)
+    """Serve one local-fit request on a bound shard evaluator, from zero: the
+    Newton fit for :class:`SolverSettings`, a :class:`SparseEstimate` for
+    :class:`LassoFit`.
+
+    A lasso request with lam=None calibrates the penalty by alternating a
+    noise estimate at the current fit with a refit at the implied level. The
+    first pass over-penalizes when the signal is strong; the recursion settles
+    within a few passes as residuals approach the noise floor.
+    """
+    if not isinstance(request, LassoFit):
+        return local_fit(loss, request)
+    theta = np.zeros(loss.shard.n_features)
+    if request.lam is not None:
+        return _working_set_lasso(loss, request.lam, theta, request.settings)
+    for _ in range(_REFIT_PASSES):
+        lam = lambda_heuristic(_noise_sd(loss, theta), loss.shard.n_features,
+                               loss.shard.n_samples)
+        estimate = _working_set_lasso(loss, lam, theta, request.settings)
+        theta = estimate.theta
+    return estimate

@@ -114,6 +114,15 @@ class TestMetropolis:
         rate = chain.acceptance_rate
         assert rate > 0.95 if regime == "accepts" else rate < 0.2
 
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_chain_needs_an_iteration(self, iters):
+        def target(theta):
+            raise AssertionError("target evaluated for an empty chain")
+        with pytest.raises(DataError, match="iters must be >= 1"):
+            metropolis(target, np.zeros(1), 1.0, iters)
+        chain = metropolis(self.gaussian_target(), np.zeros(1), 1.0, 1)
+        assert chain.samples.shape == (1, 1)
+
     def test_settings_validation(self):
         with pytest.raises(DataError):
             McmcSettings(iters=1)

@@ -3,10 +3,9 @@ import pytest
 
 from csl.cluster import Cluster
 from csl.datagen import gen_logistic
-from csl.errors import DataError, SingularHessianError
-from csl.estimators import (EXACT_SURROGATE, ONE_STEP, averaging_estimator,
-                            ilea, minimize_surrogate, one_step_update,
-                            subsample_estimator)
+from csl.errors import SingularHessianError
+from csl.estimators import (averaging_estimator, ilea, minimize_surrogate,
+                            one_step_update, subsample_estimator)
 from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import local_fit
 from csl.surrogate import build_surrogate
@@ -114,13 +113,15 @@ class TestIlea:
         np.testing.assert_array_equal(traj.iterates[0], start)
 
     def test_exact_surrogate_mode_runs_and_converges(self):
+        # six rounds of the exact surrogate estimator, each re-anchored on the
+        # last, home in on the pooled fit
         cluster = logistic_cluster(d=3, k=4, n=150, seed=47)
         pooled = cluster.pooled_shard(meter=False)
         optimum = local_fit(ShardLoss(cluster.model, pooled))
-        traj = ilea(cluster, theta0=np.zeros(3), rounds=6,
-                    mode=EXACT_SURROGATE)
-        assert traj.mode == EXACT_SURROGATE
-        dists = [np.linalg.norm(it - optimum) for it in traj.iterates]
+        iterates = [np.zeros(3)]
+        for _ in range(6):
+            iterates.append(minimize_surrogate(build_surrogate(cluster, iterates[-1])))
+        dists = [np.linalg.norm(it - optimum) for it in iterates]
         assert dists[-1] < 1e-3
         assert dists[-1] < dists[0] / 1000
 
@@ -132,11 +133,6 @@ class TestIlea:
         cluster = Cluster.from_pooled(LossModel.linear(), x_all, y_all, 2)
         with pytest.raises(SingularHessianError, match="round 1"):
             ilea(cluster, theta0=np.zeros(2), rounds=2)
-
-    def test_unknown_mode_rejected(self):
-        cluster = logistic_cluster()
-        with pytest.raises(DataError):
-            ilea(cluster, theta0=np.zeros(cluster.d), rounds=1, mode="sgd")
 
 
 class TestBaselines:

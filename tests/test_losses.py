@@ -44,15 +44,6 @@ class TestValues:
         _, _, hess = ShardLoss(LossModel.logistic(), shard).eval(np.zeros(2), 2)
         np.testing.assert_allclose(hess, [[0.25, 0.0], [0.0, 0.0]], atol=1e-16)
 
-    def test_glm_logit_matches_logistic(self):
-        rng = np.random.default_rng(1)
-        shard = random_shard(rng, 30, 4, binary=True)
-        theta = rng.standard_normal(4)
-        a, grad_a = ShardLoss(LossModel.logistic(), shard).eval(theta, 1)
-        b, grad_b = ShardLoss(LossModel.glm("logit"), shard).eval(theta, 1)
-        assert a == b
-        np.testing.assert_array_equal(grad_a, grad_b)
-
 
 class TestDerivativeOracles:
     @pytest.mark.parametrize("family", ["logistic", "linear", "poisson"])
@@ -66,7 +57,7 @@ class TestDerivativeOracles:
             elif family == "linear":
                 model, shard = LossModel.linear(), random_shard(rng, n, d)
             else:
-                model, shard = LossModel.glm("log"), random_shard(rng, n, d, counts=True)
+                model, shard = LossModel.poisson(), random_shard(rng, n, d, counts=True)
             theta = 0.5 * rng.standard_normal(d)
             loss = ShardLoss(model, shard)
             grad = loss.eval(theta, 1)[1]
@@ -171,11 +162,11 @@ class TestKernels:
         assert np.max(np.abs(sigmoid(u) - want) / want) <= 1e-15
 
     @pytest.mark.parametrize("model", [LossModel.logistic(), LossModel.linear(),
-                                       LossModel.glm("log")], ids=lambda m: m.family)
+                                       LossModel.poisson()], ids=lambda m: m.family)
     def test_orders_share_one_pass(self, model):
         rng = np.random.default_rng(13)
         shard = random_shard(rng, 30, 3, binary=model.family == "logistic",
-                             counts=model.family == "glm-log")
+                             counts=model.family == "poisson")
         loss = ShardLoss(model, shard)
         theta = 0.3 * rng.standard_normal(3)
         (v0,) = loss.eval(theta, 0)
@@ -211,7 +202,7 @@ def plain_expressions(family, shard, theta):
 
 
 FAMILIES = {"logistic": LossModel.logistic(), "linear": LossModel.linear(),
-            "poisson": LossModel.glm("log")}
+            "poisson": LossModel.poisson()}
 
 
 def family_loss(family, n, d, seed):

@@ -84,8 +84,8 @@ def test_nonfinite_candidate_is_backtracked_not_fatal():
     x = rng.standard_normal((50, 2))
     y = rng.poisson(1.5, size=50).astype(float)
     shard = DataShard(x=x, y=y)
-    fit = local_fit(ShardLoss(LossModel.glm("log"), shard))
-    value, grad = ShardLoss(LossModel.glm("log"), shard).eval(fit, 1)
+    fit = local_fit(ShardLoss(LossModel.poisson(), shard))
+    value, grad = ShardLoss(LossModel.poisson(), shard).eval(fit, 1)
     assert np.isfinite(value)
     assert np.max(np.abs(grad)) <= 1e-8
 

@@ -13,6 +13,7 @@ cluster or the ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -139,7 +140,9 @@ class DataShard:
             raise DataError(f"x must be (n, d) with n, d >= 1; got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise DataError(f"y must have shape ({x.shape[0]},); got {y.shape}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        # NaN carries through min and max and an infinity is one of them, so
+        # this rejects what np.isfinite would, without an n*d mask.
+        if not all(math.isfinite(a.min()) and math.isfinite(a.max()) for a in (x, y)):
             raise DataError("shard contains non-finite entries")
         x.flags.writeable = False
         y.flags.writeable = False

@@ -39,6 +39,7 @@ def csl_lasso(cluster: Cluster, anchor: np.ndarray | None = None,
     (communication-free). lam=None uses the pooled-scale heuristic with the
     noise level read off the anchor's residuals on the coordinator's shard.
     """
+    LassoFit(lam, settings)  # rejects a bad penalty before any round moves the ledger
     if anchor is None:
         anchor = run_fit(LassoFit(None, settings), cluster.losses[0]).theta
     anchor = np.asarray(anchor, dtype=np.float64)

@@ -1,14 +1,16 @@
 """Socket transport for remote workers.
 
 Wire format, little-endian throughout: each frame is a 1-byte opcode, a 4-byte
-unsigned payload length, then the payload. Data travel in one encoding, raw
-``<f8`` bytes from one encoder: a parameter vector as its d floats, and a shard
-as its shape ``<II`` (n, d) followed by y and then x row by row, which
-round-trips float64 exactly. A reply vector must hold exactly the d floats of
-the loaded shard. A Newton local-fit request (0x04) carries the SolverSettings
-as ``<dI`` (grad_tol, max_iters) and gets the fit's d floats back (0x05); a lasso
-request (0x07) carries ``<ddI`` (lam, NaN to calibrate; tol, max_iters) and gets
-``<dI?`` (objective, iterations, converged), then the fit's d floats (0x08).
+unsigned payload length, then the payload. Data travel as raw ``<f8`` bytes: a
+parameter vector as its d floats, and a shard as its shape ``<II`` (n, d)
+followed by y and then x row by row, which round-trips float64 exactly. A shard
+is sent scatter-gather from its own arrays and received into the memory the
+worker's shard keeps; the wire bytes are those of one packed frame. A reply
+vector must hold exactly the d floats of the loaded shard. A Newton local-fit
+request (0x04) carries the SolverSettings as ``<dI`` (grad_tol, max_iters) and
+gets the fit's d floats back (0x05); a lasso request (0x07) carries ``<ddI``
+(lam, NaN to calibrate; tol, max_iters) and gets ``<dI?`` (objective,
+iterations, converged), then the fit's d floats (0x08).
 """
 
 from __future__ import annotations
@@ -56,26 +58,30 @@ def pack_frame(opcode: int, payload: bytes = b"") -> bytes:
     return _HEADER.pack(opcode, len(payload)) + payload
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    chunks = []
-    remaining = nbytes
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
+def _recv_into(sock: socket.socket, buffer: np.ndarray) -> np.ndarray:
+    view = memoryview(buffer)
+    while view:
+        got = sock.recv_into(view, len(view), socket.MSG_WAITALL)
+        if not got:
             raise ConnectionError("peer closed the connection mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        view = view[got:]
+    return buffer
 
 
-def read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    """Read one complete frame; raises ConnectionError on a truncated stream."""
+def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
+    return _recv_into(sock, np.empty(nbytes, np.uint8)).tobytes()
+
+
+def read_frame(sock: socket.socket) -> tuple[int, bytes | np.ndarray]:
+    """Read one complete frame; raises ConnectionError on a truncated stream.
+    A shard payload is read into an uninitialised uint8 array, others are bytes."""
     header = _recv_exact(sock, _HEADER.size)
     opcode, length = _HEADER.unpack(header)
     if length >= _MAX_PAYLOAD:
         raise ConnectionError(f"declared payload length {length} exceeds bound")
-    payload = _recv_exact(sock, length) if length else b""
-    return opcode, payload
+    if opcode == OP_LOAD_SHARD:
+        return opcode, _recv_into(sock, np.empty(length, np.uint8))
+    return opcode, _recv_exact(sock, length)
 
 
 def _encode_vector(vec: np.ndarray) -> bytes:
@@ -89,8 +95,9 @@ def _decode_vector(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").copy()
 
 
-def _decode_shard(payload: bytes) -> DataShard:
-    """Inverse of the :meth:`WorkerClient.load_shard` payload."""
+def _decode_shard(payload: bytes | np.ndarray) -> DataShard:
+    """Inverse of the :meth:`WorkerClient.load_shard` payload; the shard's
+    arrays are views of ``payload``."""
     if len(payload) < _SHAPE.size:
         raise CslError(f"shard payload of {len(payload)} bytes is shorter than "
                        f"its {_SHAPE.size}-byte shape")
@@ -98,7 +105,7 @@ def _decode_shard(payload: bytes) -> DataShard:
     if len(payload) != _SHAPE.size + 8 * n * (d + 1):
         raise CslError(f"shard payload of {len(payload)} bytes does not hold "
                        f"n={n} rows of d={d} features and a response")
-    values = _decode_vector(memoryview(payload)[_SHAPE.size:])
+    values = np.frombuffer(payload, dtype="<f8", offset=_SHAPE.size)
     return DataShard(x=values[n:].reshape(n, d), y=values[:n])
 
 
@@ -160,7 +167,7 @@ class WorkerServer:
         while not self._stop.is_set():
             try:
                 opcode, payload = read_frame(conn)
-            except OSError:  # ConnectionError included
+            except (OSError, MemoryError):  # ConnectionError included
                 return
             try:
                 reply = self._handle(opcode, payload)
@@ -175,7 +182,7 @@ class WorkerServer:
                 self._stop.set()
                 return
 
-    def _handle(self, opcode: int, payload: bytes) -> bytes | None:
+    def _handle(self, opcode: int, payload: bytes | np.ndarray) -> bytes | None:
         if opcode == OP_LOAD_SHARD:
             self._loss = ShardLoss(self.model, _decode_shard(payload))
             return None
@@ -240,8 +247,22 @@ class WorkerClient:
         return payload[:head], _decode_vector(payload[head:])
 
     def load_shard(self, shard: DataShard) -> None:
-        self._send(OP_LOAD_SHARD, _SHAPE.pack(shard.n_samples, shard.n_features)
-                   + _encode_vector(shard.y) + _encode_vector(shard.x))
+        # y and x go out as views of the shard's arrays, copied only on big-endian hosts
+        arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (shard.y, shard.x)]
+        length = _SHAPE.size + sum(a.nbytes for a in arrays)
+        if length >= _MAX_PAYLOAD:
+            raise self._error(f"payload too large: {length} bytes")
+        views = [memoryview(_HEADER.pack(OP_LOAD_SHARD, length) + _SHAPE.pack(*shard.x.shape))]
+        views += [memoryview(a).cast("B") for a in arrays]
+        try:
+            while views:  # sendmsg may take only part of the list
+                sent = self._sock.sendmsg(views)
+                while views and sent >= len(views[0]):
+                    sent -= len(views.pop(0))
+                if views:
+                    views[0] = views[0][sent:]
+        except OSError as exc:
+            raise self._error(f"send failed: {exc}")
         self._d = shard.n_features
 
     def send_gradient_request(self, theta: np.ndarray) -> None:

@@ -281,8 +281,18 @@ class TestValidation:
             ShardLoss(LossModel.logistic(), shard)
 
     def test_shard_rejects_nonfinite(self):
-        with pytest.raises(DataError):
-            DataShard(x=np.array([[np.inf]]), y=np.array([0.0]))
+        # float64's extremes pass; one NaN or infinity among them is caught
+        # in either array
+        big = np.finfo(float).max
+        arrays = {"x": np.array([[big, -big], [5e-324, -0.0], [1.0, 2.0]]),
+                  "y": np.array([-big, big, 0.0])}
+        DataShard(**arrays)
+        for where in arrays:
+            for bad in (np.nan, np.inf, -np.inf):
+                spoiled = dict(arrays, **{where: arrays[where].copy()})
+                spoiled[where][(1,) * spoiled[where].ndim] = bad
+                with pytest.raises(DataError, match="non-finite"):
+                    DataShard(**spoiled)
 
     def test_shape_mismatch(self):
         shard = DataShard(x=np.ones((4, 2)), y=np.zeros(4))

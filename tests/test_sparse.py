@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from csl.cluster import Cluster
+from csl.cluster import Cluster, CommLedger
 from csl.datagen import derive_rng, gen_sparse_linear
 from csl.errors import DataError, NonConvergenceError
 from csl.losses import DataShard, LossModel, ShardLoss
@@ -224,6 +224,7 @@ class TestCslLasso:
             local_lasso(cluster.model, cluster.shards[0], lam=lam)
         with pytest.raises(DataError, match="finite value >= 0"):
             csl_lasso(cluster, anchor=np.zeros(cluster.d), lam=lam)
+        assert cluster.ledger == CommLedger()  # rejected before the gradient round
 
     def test_identical_shards_make_anchor_a_fixed_point(self):
         # when every shard holds the same rows the surrogate equals the pooled

@@ -2,6 +2,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,17 +149,7 @@ class TestWorkerProtocol:
         gone._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                               struct.pack("ii", 1, 0))
         gone.close()
-        client = WorkerClient(worker.address, worker_index=2, timeout=5)
-        try:
-            small = make_shard(seed=5)
-            client.load_shard(small)
-            theta = np.array([0.25, -0.5, 1.0])
-            client.send_gradient_request(theta)
-            local = ShardLoss(LossModel.logistic(), small).gradient(theta)
-            assert client.recv_gradient().tobytes() == local.tobytes()
-        finally:
-            client.close()
-        assert worker._thread.is_alive()
+        _assert_serves(worker)
 
 
 def test_stop_returns_while_a_client_sits_idle():
@@ -174,6 +165,135 @@ def test_stop_returns_while_a_client_sits_idle():
         assert not server._thread.is_alive()
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(address, timeout=1).close()
+
+
+def _old_shard_frame(shard):
+    """The shard frame as one packed buffer, from the vector encoder."""
+    return pack_frame(OP_LOAD_SHARD, transport._SHAPE.pack(*shard.x.shape)
+                      + transport._encode_vector(shard.y) + transport._encode_vector(shard.x))
+
+
+def _assert_serves(worker):
+    """A new client can place a shard on the worker and get its gradient."""
+    client = WorkerClient(worker.address, worker_index=2, timeout=10)
+    try:
+        shard = make_shard(seed=5)
+        client.load_shard(shard)
+        theta = np.array([0.25, -0.5, 1.0])
+        client.send_gradient_request(theta)
+        local = ShardLoss(LossModel.logistic(), shard).gradient(theta)
+        assert client.recv_gradient().tobytes() == local.tobytes()
+    finally:
+        client.close()
+    assert worker._thread.is_alive()
+
+
+class _Trickle:
+    """A client socket whose sendmsg takes at most 4 KB per call and keeps
+    the bytes it sent; everything else goes to the real socket."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = bytearray()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def sendmsg(self, buffers):
+        budget, head = 4096, []
+        for buf in buffers:
+            head.append(memoryview(buf).cast("B")[:budget])
+            budget -= len(head[-1])
+        sent = self._sock.sendmsg(head)
+        self.sent += b"".join(head)[:sent]
+        return sent
+
+
+class TestShardPlacement:
+    def test_placement_copies_no_shard(self):
+        # Everything still held afterwards (the worker shards, which keep the
+        # received buffers, and the evaluators' scratch) is not a copy. The
+        # earlier encoder and chunked receive, which copied each shard on
+        # both sides, read 0.78 to 1.18 here.
+        n, d = 16_384, 10
+        pooled, _ = gen_logistic(d, 3 * n, 11)
+        tracemalloc.start()
+        try:
+            with Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
+                                     transport="tcp") as cluster:
+                cluster.gradient_round(np.zeros(d))  # every shard frame is read
+                held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / (2 * (8 + 8 * n * (d + 1))) < 0.5
+
+    def test_partial_sends_keep_the_wire_and_the_shard(self, worker):
+        shard = make_shard(seed=7, n=2_000)
+        client = WorkerClient(worker.address, worker_index=2, timeout=10)
+        client._sock = trickle = _Trickle(client._sock)
+        try:
+            client.load_shard(shard)
+            theta = np.array([0.5, -0.25, 1.0])
+            client.send_gradient_request(theta)
+            local = ShardLoss(LossModel.logistic(), shard).gradient(theta)
+            assert client.recv_gradient().tobytes() == local.tobytes()
+        finally:
+            client.close()
+        assert bytes(trickle.sent) == _old_shard_frame(shard)
+        assert worker._loss.shard.x.tobytes() == shard.x.tobytes()
+        assert worker._loss.shard.y.tobytes() == shard.y.tobytes()
+
+    def test_fragmented_receive_places_the_shard_bitwise(self, worker):
+        shard = make_shard(seed=8, n=500)
+        frame = _old_shard_frame(shard)
+        # cuts inside the header, the shape and the floats
+        cuts = [0, 3, 11, *range(997, len(frame), 997), len(frame)]
+        theta = np.array([-0.5, 0.25, 1.0])
+        with socket.create_connection(worker.address, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for start, stop in zip(cuts, cuts[1:]):
+                sock.sendall(frame[start:stop])
+                time.sleep(0.001)
+            sock.sendall(pack_frame(OP_EVAL_GRAD, theta.tobytes()))
+            opcode, reply = read_frame(sock)
+        local = ShardLoss(LossModel.logistic(), shard).gradient(theta)
+        assert opcode == OP_GRAD_REPLY
+        assert reply == local.tobytes()
+        assert worker._loss.shard.x.tobytes() == shard.x.tobytes()
+        assert worker._loss.shard.y.tobytes() == shard.y.tobytes()
+
+    def test_oversized_shard_is_refused_before_any_byte_leaves(self, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_PAYLOAD", 8 + 8 * 40 * 4)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = WorkerClient(listener.getsockname()[:2], worker_index=2, timeout=10)
+            conn, _ = listener.accept()
+            with conn:
+                with pytest.raises(WorkerError, match="worker 2: payload too large"):
+                    client.load_shard(make_shard())
+                client.close()
+                assert conn.recv(1) == b""  # the client closed without sending
+
+    def test_bad_length_ends_only_its_connection(self, worker):
+        with socket.create_connection(worker.address, timeout=10) as sock:
+            sock.sendall(transport._HEADER.pack(OP_LOAD_SHARD, transport._MAX_PAYLOAD - 1))
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(1) == b""  # the worker ended this connection
+        _assert_serves(worker)
+
+    def test_memory_error_while_receiving_leaves_the_worker_serving(self, worker,
+                                                                    monkeypatch):
+        empty = np.empty
+
+        def refuse_large(shape, *args, **kwargs):
+            if np.prod(shape) > 1 << 20:
+                raise MemoryError("refused for the test")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_large)
+        with socket.create_connection(worker.address, timeout=10) as sock:
+            sock.sendall(transport._HEADER.pack(OP_LOAD_SHARD, 1 << 21))
+            assert sock.recv(1) == b""  # the worker ended this connection
+        _assert_serves(worker)
 
 
 class TestTcpCluster:

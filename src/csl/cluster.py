@@ -69,6 +69,18 @@ def split_rows(x: np.ndarray, y: np.ndarray, k: int) -> list[DataShard]:
             for j in range(k)]
 
 
+def _stacked(blocks: list[np.ndarray]) -> np.ndarray:
+    """Equal-shape blocks stacked along rows: a view of their base when they
+    tile that C-contiguous array in order, else a concatenated copy."""
+    base, size = blocks[0].base, blocks[0].nbytes
+    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and base.dtype == blocks[0].dtype and base.nbytes == len(blocks) * size
+            and all(b.base is base and b.ctypes.data == base.ctypes.data + j * size
+                    for j, b in enumerate(blocks))):
+        return base.reshape(-1, *blocks[0].shape[1:])
+    return np.concatenate(blocks)
+
+
 class Cluster:
     """k machines holding equal shards of one dataset, with a shared ledger."""
 
@@ -193,13 +205,13 @@ class Cluster:
         return functools.reduce(operator.add, values, 0.0) / self.k
 
     def pooled_shard(self, meter: bool = True) -> DataShard:
-        """All samples on one machine, in worker order. Moves (k-1)*n raw
-        samples when metered; vector counts are unaffected."""
+        """All samples on one machine, in worker order, as a read-only view
+        when :func:`split_rows` cut the shards from one array. Moves (k-1)*n
+        raw samples when metered; vector counts are unaffected."""
         if meter and self.k > 1:
             self.ledger.samples_moved += (self.k - 1) * self.n_per_shard
-        x = np.concatenate([s.x for s in self.shards], axis=0)
-        y = np.concatenate([s.y for s in self.shards], axis=0)
-        return DataShard(x=x, y=y)
+        return DataShard(x=_stacked([s.x for s in self.shards]),
+                         y=_stacked([s.y for s in self.shards]))
 
     def close(self) -> None:
         for client in self._clients:

@@ -4,11 +4,12 @@ Every loss is an empirical mean over one shard: unhalved squared error, or
 the logistic or Poisson negative log-likelihood, each a canonical generalized
 linear model written as ``mean(-y*u + phi(u))`` with ``u = x @ theta``.
 :class:`ShardLoss` binds a model to a shard, checks the response once, and
-returns the value, gradient and Hessian up to a requested order from one pass
-over the rows. An evaluator holds its own scratch vectors, so a value
-allocates no n-length array, and one evaluator must not be called from two
-threads at once. All evaluations are plain numpy; nothing here talks to the
-cluster or the ledger.
+returns the value, gradient and Hessian up to a requested order. It remembers
+its last point, so each of them, ``u`` and the link's one exponential are
+computed at most once per point. An evaluator holds its own scratch vectors,
+so a value allocates no n-length array, and one evaluator must not be called
+from two threads at once. All evaluations are plain numpy; nothing here talks
+to the cluster or the ledger.
 """
 
 from __future__ import annotations
@@ -39,54 +40,63 @@ def softplus(u: np.ndarray, out: np.ndarray | None = None,
     shaped like u that shares no memory with it, allocated when not given.
     """
     u = np.asarray(u, dtype=np.float64)
-    out = np.maximum(u, 0.0, out=out)
-    work = np.abs(u, out=work)
-    np.negative(work, out=work)
-    np.exp(work, out=work)
-    np.log1p(work, out=work)
-    return np.add(out, work, out=out)
+    e = _exp_neg_abs(u, out=work)
+    return _softplus(u, e, out=out, work=e)
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-u)) from e = exp(-|u|): 1/(1+e) for u >= 0, e/(1+e) below."""
     u = np.asarray(u, dtype=np.float64)
-    e = np.exp(-np.abs(u))
+    return _sigmoid(u, _exp_neg_abs(u))
+
+
+def _exp_neg_abs(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.exp(np.negative(np.abs(u, out=out), out=out), out=out)
+
+
+def _softplus(u, e, out=None, work=None):
+    out = np.maximum(u, 0.0, out=out)
+    return np.add(out, np.log1p(e, out=work), out=out)
+
+
+def _sigmoid(u, e):
     return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
-def _logistic_weight(u: np.ndarray) -> np.ndarray:
-    """sigmoid(u) * sigmoid(-u) as e / (1 + e)**2 with e = exp(-|u|)."""
-    e = np.exp(-np.abs(u))
+def _logistic_weight(u, e):  # sigmoid(u) * sigmoid(-u)
     return e / np.square(1.0 + e)
 
 
-def _exp(u: np.ndarray, out: np.ndarray | None = None,
-         work: np.ndarray | None = None) -> np.ndarray:
-    """exp whose overflow to inf is silent; the Newton line search rejects
-    the non-finite values it produces. ``work`` is unused; it keeps the
-    cumulant signature of :func:`softplus`."""
+def _exp(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp, silent on overflow: the Newton line search rejects the infinity."""
     with np.errstate(over="ignore"):
         return np.exp(u, out=out)
 
 
+def _core_itself(u, e, out=None, work=None):
+    return e
+
+
 @dataclass(frozen=True)
 class Link:
-    """Canonical cumulant of a GLM family with its first two derivatives.
+    """Canonical cumulant of a GLM family and its first two derivatives, each
+    a function of u and the point's one core vector ``e = core(u, out)``:
+    exp(-|u|) for the logit, exp(u) for the log link. ``phi(u, e, out, work)``
+    may write into ``out`` and use ``work`` as scratch; the derivatives'
+    arrays are only read, and any of the three may be ``e`` itself."""
 
-    ``phi(u, out, work)`` writes into ``out`` and may use ``work`` as scratch;
-    called with u alone, it returns a fresh array, as the derivatives do.
-    """
-
+    core: Callable[..., np.ndarray]
     phi: Callable[..., np.ndarray]
-    phi_prime: Callable[[np.ndarray], np.ndarray]
-    phi_double: Callable[[np.ndarray], np.ndarray]
+    phi_prime: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    phi_double: Callable[[np.ndarray, np.ndarray], np.ndarray]
     binary_response: bool = False
     nonnegative_response: bool = False
 
 
-_LOGIT = Link(phi=softplus, phi_prime=sigmoid, phi_double=_logistic_weight,
-              binary_response=True)
-_LOG = Link(phi=_exp, phi_prime=_exp, phi_double=_exp, nonnegative_response=True)
+_LOGIT = Link(core=_exp_neg_abs, phi=_softplus, phi_prime=_sigmoid,
+              phi_double=_logistic_weight, binary_response=True)
+_LOG = Link(core=_exp, phi=_core_itself, phi_prime=_core_itself, phi_double=_core_itself,
+            nonnegative_response=True)
 
 
 @dataclass(frozen=True)
@@ -159,21 +169,20 @@ class DataShard:
 
 
 class ShardLoss:
-    """The mean loss of one model on one shard, bound once and evaluated in
-    one pass per call.
+    """The mean loss of one model on one shard, bound once and evaluated at
+    most once per point.
 
     Binding checks the response against the model; shard arrays are
     read-only, so the check holds for the evaluator's lifetime. Every call
-    checks theta's shape and finiteness and computes ``u = x @ theta`` once.
-    The family branch, squared error or a canonical GLM cumulant, lives here
-    and nowhere else.
+    checks theta's shape and finiteness. The family branch, squared error or
+    a canonical GLM cumulant, lives here and nowhere else.
 
-    The evaluator owns three n-vectors, allocated when it is bound: ``u`` and
-    two scratch vectors. A value (order 0) writes every intermediate into
-    them and allocates no n-length array; every array a method returns is
-    fresh. Because the buffers are shared between calls, one evaluator must
-    not be called from two threads at once: each TCP worker binds its own,
-    and the coordinator's evaluators run on its thread only.
+    It remembers its last point, keyed on the bytes of theta so that an array
+    changed in place is a new point. There it keeps ``u = x @ theta`` and the
+    link's core vector in its own buffers, and the value, gradient and Hessian
+    once asked for. A value allocates no n-length array; every returned array
+    is fresh. One evaluator must not be called from two threads at once: each
+    TCP worker binds its own, and the coordinator's run on its thread only.
     """
 
     def __init__(self, model: LossModel, shard: DataShard):
@@ -182,6 +191,8 @@ class ShardLoss:
         self.shard = shard
         n = shard.n_samples
         self._u, self._v, self._work = np.empty(n), np.empty(n), np.empty(n)
+        self._core = None if model.link is None else np.empty(n)
+        self._key = self._value = self._grad = self._hess = None
 
     def restrict(self, columns: np.ndarray) -> "ShardLoss":
         """The same model on ``x[:, columns]`` and the same y: at a theta that
@@ -199,59 +210,67 @@ class ShardLoss:
             raise DataError("theta contains non-finite entries")
         return theta
 
-    def _predict(self, theta: np.ndarray) -> np.ndarray:
-        """``x @ theta`` written into the u buffer."""
-        return np.matmul(self.shard.x, self.check_theta(theta), out=self._u)
+    def _at(self, theta: np.ndarray) -> "ShardLoss":
+        """Check theta; at a new point, compute u and the core vector."""
+        theta = self.check_theta(theta)
+        key = theta.tobytes()
+        if key != self._key:
+            self._key = self._value = self._grad = self._hess = None
+            np.matmul(self.shard.x, theta, out=self._u)
+            if self.model.link is not None:
+                self.model.link.core(self._u, out=self._core)
+            self._key = key
+        return self
 
-    def _mean(self, u: np.ndarray) -> np.ndarray:
+    def _mean(self) -> np.ndarray:
         link = self.model.link
-        return u if link is None else link.phi_prime(u)
+        return self._u if link is None else link.phi_prime(self._u, self._core)
 
-    def _gradient(self, u: np.ndarray) -> np.ndarray:
-        x, n = self.shard.x, self.shard.n_samples
-        excess = np.subtract(self._mean(u), self.shard.y, out=self._v)
-        if self.model.link is None:
-            return (2.0 / n) * (x.T @ excess)
-        return (x.T @ excess) / n
+    def _gradient(self) -> np.ndarray:
+        if self._grad is None:
+            x, n = self.shard.x, self.shard.n_samples
+            excess = np.subtract(self._mean(), self.shard.y, out=self._v)
+            self._grad = ((2.0 / n) * (x.T @ excess) if self.model.link is None
+                          else (x.T @ excess) / n)
+        return self._grad.copy()
 
     def eval(self, theta: np.ndarray, order: int = 2) -> tuple:
         """``(value,)``, ``(value, grad)`` or ``(value, grad, hessian)`` for
         order 0, 1 or 2; the gradient is ``(d,)`` and the Hessian ``(d, d)``."""
         if order not in (0, 1, 2):
             raise DataError(f"order must be 0, 1 or 2, got {order!r}")
-        u = self._predict(theta)
-        x, y, n = self.shard.x, self.shard.y, self.shard.n_samples
+        self._at(theta)
+        x, y, n, u = self.shard.x, self.shard.y, self.shard.n_samples, self._u
         link = self.model.link
-        # Every intermediate of the value goes into the scratch vectors, in
-        # the order of mean(r*r) or mean(phi(u) - y*u); add.reduce is the sum
-        # np.mean takes.
-        v, work = self._v, self._work
-        if link is None:
-            np.subtract(y, u, out=v)
-            np.multiply(v, v, out=v)
-        else:
-            link.phi(u, out=v, work=work)
-            np.subtract(v, np.multiply(y, u, out=work), out=v)
-        value = float(np.add.reduce(v)) / n
+        if self._value is None:
+            # Every intermediate goes into the scratch vectors, in the order of
+            # mean(r*r) or mean(phi(u) - y*u); add.reduce is np.mean's sum.
+            v, work = self._v, self._work
+            if link is None:
+                np.subtract(y, u, out=v)
+                np.multiply(v, v, out=v)
+            else:
+                phi = link.phi(u, self._core, out=v, work=work)
+                np.subtract(phi, np.multiply(y, u, out=work), out=v)
+            self._value = float(np.add.reduce(v)) / n
         if order == 0:
-            return (value,)
-        grad = self._gradient(u)
+            return (self._value,)
+        grad = self._gradient()
         if order == 1:
-            return value, grad
-        if link is None:
-            return value, grad, (2.0 / n) * (x.T @ x)
-        return value, grad, (x * link.phi_double(u)[:, None]).T @ x / n
+            return self._value, grad
+        if self._hess is None:  # the einsum is x * phi''[:, None], bit for bit
+            self._hess = ((2.0 / n) * (x.T @ x) if link is None else
+                          np.einsum("ij,i->ij", x, link.phi_double(u, self._core)).T @ x / n)
+        return self._value, grad, self._hess.copy()
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """The gradient alone, bit for bit ``eval(theta, 1)[1]``; what a
         gradient round needs."""
-        return self._gradient(self._predict(theta))
+        return self._at(theta)._gradient()
 
     def mean(self, theta: np.ndarray) -> np.ndarray:
         """The model mean of each sample's response at theta."""
-        u = self._predict(theta)
-        mean = self._mean(u)
-        return mean.copy() if mean is u else mean
+        return self._at(theta)._mean().copy()
 
     def per_sample(self, theta: np.ndarray) -> np.ndarray:
         """(n, d) matrix whose i-th row is the gradient of sample i's loss term.
@@ -259,7 +278,7 @@ class ShardLoss:
         The row mean equals the gradient up to floating-point reduction
         order; squared error carries its factor 2.
         """
-        excess = self._mean(self._predict(theta)) - self.shard.y
+        excess = self._at(theta)._mean() - self.shard.y
         if self.model.link is None:
             excess = 2.0 * excess
         return self.shard.x * excess[:, None]

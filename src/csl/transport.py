@@ -117,8 +117,10 @@ class WorkerServer:
     that a silent client cannot hold the serve thread.
     A request that fails (no shard loaded, solver failure, unknown opcode) gets
     an error frame back and the connection keeps serving, since frames are
-    length-delimited. A connection that breaks, mid-frame or while a reply is
-    sent, ends alone; the server keeps accepting.
+    length-delimited. A successful load gets no reply, so a rejected one
+    unloads the shard and ends the connection after its error frame, which
+    the client's next call raises. A connection that breaks, mid-frame or
+    while a reply is sent, ends alone; the server keeps accepting.
     """
 
     def __init__(self, model: LossModel, host: str = "127.0.0.1", port: int = 0):
@@ -180,10 +182,12 @@ class WorkerServer:
                     return
             if opcode == OP_SHUTDOWN:
                 self._stop.set()
-                return
+            if opcode == OP_SHUTDOWN or (opcode == OP_LOAD_SHARD and reply is not None):
+                return  # a successful load has no reply for this error frame to answer
 
     def _handle(self, opcode: int, payload: bytes | np.ndarray) -> bytes | None:
         if opcode == OP_LOAD_SHARD:
+            self._loss = None  # a rejected load leaves no shard loaded
             self._loss = ShardLoss(self.model, _decode_shard(payload))
             return None
         if opcode == OP_SHUTDOWN:

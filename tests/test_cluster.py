@@ -93,6 +93,44 @@ class TestLedger:
         cluster.pooled_shard(meter=False)
         assert cluster.ledger.samples_moved == 3 * 32
 
+    @staticmethod
+    def _pool(shards, k):
+        cluster = Cluster(LossModel.linear(), shards)
+        pooled = cluster.pooled_shard()
+        assert cluster.ledger == CommLedger(0, 0, (k - 1) * shards[0].n_samples)
+        x = np.concatenate([s.x for s in shards])
+        y = np.concatenate([s.y for s in shards])
+        assert pooled.x.tobytes() == x.tobytes() and pooled.y.tobytes() == y.tobytes()
+        assert not pooled.x.flags.writeable and not pooled.y.flags.writeable
+        return pooled
+
+    def test_pooled_tiled_shards_are_a_view_of_their_base(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((12, 2)), rng.standard_normal(12)
+        pooled = self._pool(split_rows(x, y, 4), 4)
+        assert np.shares_memory(pooled.x, x) and np.shares_memory(pooled.y, y)
+        assert x.flags.writeable and y.flags.writeable  # the base keeps its flags
+
+    def test_pooled_shards_that_do_not_tile_one_array_are_copied(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((16, 2)), rng.standard_normal(16)
+        tiled = split_rows(x, y, 4)
+        cases = {
+            "separate arrays": [DataShard(x=s.x.copy(), y=s.y.copy()) for s in tiled],
+            "reordered": [tiled[1], tiled[0], tiled[2], tiled[3]],
+            "repeated": [tiled[0], tiled[0], tiled[2], tiled[3]],
+            "part of the base": tiled[:3],
+            "strided rows": split_rows(x[::2], y[::2], 2),
+        }
+        for name, shards in cases.items():
+            pooled = self._pool(shards, len(shards))
+            assert not np.shares_memory(pooled.x, x), name
+            assert not np.shares_memory(pooled.y, y), name
+        # x tiles its base while y does not: only y is copied
+        mixed = [DataShard(x=s.x, y=s.y.copy()) for s in tiled]
+        pooled = self._pool(mixed, 4)
+        assert np.shares_memory(pooled.x, x) and not np.shares_memory(pooled.y, y)
+
     def test_ledger_copy_is_a_snapshot(self):
         cluster = make_cluster(2)
         before = cluster.ledger.copy()

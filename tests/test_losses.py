@@ -10,6 +10,7 @@ from conftest import fd_gradient, fd_jacobian, pure_python_logistic_gradient
 
 from csl.errors import DataError
 from csl.losses import DataShard, LossModel, ShardLoss, shard_to_csv, sigmoid, softplus
+from csl.solvers import local_fit, newton_minimize
 
 
 def random_shard(rng, n, d, binary=False, counts=False):
@@ -261,17 +262,104 @@ class TestBuffers:
     def test_value_allocates_no_n_vector(self, family):
         n = 16_384
         loss, rng = family_loss(family, n, 2, 23)
-        theta = 0.3 * rng.standard_normal(2)
+        theta, other = 0.3 * rng.standard_normal(2), 0.3 * rng.standard_normal(2)
         tracemalloc.start()
         try:
             loss.eval(theta, 0)
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            loss.eval(theta, 0)
+            loss.eval(other, 0)  # a new point: the value is computed again
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - before < 8 * n
+
+
+def _results(loss, call, theta):
+    """One call on an evaluator, as a tuple of its returned arrays and floats."""
+    if call == "gradient":
+        return (loss.gradient(theta),)
+    if call == "mean":
+        return (loss.mean(theta),)
+    if call == "per_sample":
+        return (loss.per_sample(theta),)
+    return loss.eval(theta, call)
+
+
+def _counting_design(x):
+    """A view of x that counts the products ``x @ theta`` taken with it, in
+    ``type(view).products``."""
+
+    class Counted(np.ndarray):
+        products = 0
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[0] is design and np.ndim(inputs[1]) == 1:
+                Counted.products += 1
+            inputs = [a.view(np.ndarray) if isinstance(a, Counted) else a for a in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    design = x.view(Counted)
+    return design
+
+
+class TestPointMemory:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_any_call_sequence_matches_a_fresh_evaluator(self, family):
+        loss, rng = family_loss(family, 129, 3, 31)
+        a, b = 0.4 * rng.standard_normal(3), 0.4 * rng.standard_normal(3)
+        calls = [(0, a), (2, a), (1, a), ("gradient", b), (2, b), ("per_sample", b),
+                 ("mean", b), (0, a), ("mean", a), ("gradient", a), (2, a),
+                 ("per_sample", a), (1, b), (0, b), (2, np.zeros(3)), (2, -np.zeros(3)),
+                 (0, a.copy())]
+        for call, theta in calls:
+            got = _results(loss, call, theta)
+            want = _results(ShardLoss(loss.model, loss.shard), call, theta)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_changing_a_returned_array_changes_no_later_result(self, family):
+        loss, rng = family_loss(family, 64, 3, 32)
+        theta = 0.3 * rng.standard_normal(3)
+        value, grad, hess = (np.array(r, copy=True) for r in loss.eval(theta, 2))
+        for spoil in (loss.eval(theta, 2)[1:] + (loss.gradient(theta), loss.mean(theta))):
+            spoil[...] = np.nan
+        assert loss.eval(theta, 2)[0] == value
+        np.testing.assert_array_equal(loss.eval(theta, 1)[1], grad)
+        np.testing.assert_array_equal(loss.gradient(theta), grad)
+        np.testing.assert_array_equal(loss.eval(theta, 2)[2], hess)
+        assert np.isfinite(loss.mean(theta)).all()
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_theta_changed_in_place_is_a_new_point(self, family):
+        loss, rng = family_loss(family, 64, 3, 33)
+        theta = 0.3 * rng.standard_normal(3)
+        loss.eval(theta, 2)
+        theta[1] += 0.25
+        fresh = ShardLoss(loss.model, loss.shard)
+        for order in (0, 1, 2):
+            for got, want in zip(loss.eval(theta, order), fresh.eval(theta, order)):
+                np.testing.assert_array_equal(got, want)
+        theta[0] = 0.0
+        np.testing.assert_array_equal(loss.gradient(theta), fresh.gradient(theta))
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_newton_fit_takes_one_product_per_point(self, family):
+        loss, _ = family_loss(family, 200, 3, 34)
+        design = _counting_design(loss.shard.x)
+        object.__setattr__(loss.shard, "x", design)
+        points, calls = set(), []
+
+        def objective(theta, order):
+            points.add(theta.tobytes())
+            calls.append(order)
+            return loss.eval(theta, order)
+
+        fit = newton_minimize(objective, np.zeros(3))
+        assert type(design).products == len(points) < len(calls)
+        np.testing.assert_array_equal(fit, local_fit(ShardLoss(loss.model, loss.shard)))
 
 
 class TestValidation:

@@ -129,13 +129,49 @@ class TestWorkerProtocol:
             (struct.pack("<II", 1, 1) + np.array([0.0, np.inf]).tobytes(), "non-finite"),
             (struct.pack("<II", 1, 1) + np.array([0.5, 1.0]).tobytes(), "labels in {0, 1}"),
         ]
-        # an error frame leaves the connection open, so one serves every case
-        with socket.create_connection(worker.address, timeout=10) as sock:
-            for payload, message in cases:
+        # the error frame is the last the connection carries; the worker serves on
+        for payload, message in cases:
+            with socket.create_connection(worker.address, timeout=10) as sock:
                 sock.sendall(pack_frame(OP_LOAD_SHARD, payload))
                 opcode, reply = read_frame(sock)
                 assert opcode == OP_ERROR
                 assert message in reply.decode("utf-8")
+                assert sock.recv(1) == b""
+        _assert_serves(worker)
+
+    def test_rejected_load_fails_the_next_call_and_no_later_one_reads_stale(self, worker):
+        # A successful load gets no reply, so the error frame of a rejected
+        # one must not be read as the reply to the request after it.
+        client = WorkerClient(worker.address, worker_index=2, timeout=10)
+        try:
+            client.load_shard(DataShard(x=np.ones((4, 3)), y=np.array([0.5, 1.0, 0.0, 1.0])))
+            client.send_gradient_request(np.zeros(3))
+            with pytest.raises(WorkerError, match=r"^worker 2: remote error: "
+                                                  r"binary-response loss requires labels") as err:
+                client.recv_gradient()
+            assert err.value.worker == 2
+            # the worker ended the connection, so nothing later is a remote reply
+            with pytest.raises(WorkerError, match="^worker 2: ") as err:
+                client.load_shard(make_shard(seed=6))
+                client.send_gradient_request(np.zeros(3))
+                client.recv_gradient()
+            assert "remote error" not in str(err.value)
+        finally:
+            client.close()
+        _assert_serves(worker)
+
+    def test_rejected_load_unloads_the_previous_shard(self, worker):
+        with socket.create_connection(worker.address, timeout=10) as sock:
+            sock.sendall(_old_shard_frame(make_shard(seed=7)))
+            sock.sendall(pack_frame(OP_LOAD_SHARD, b"\x01\x00\x00"))
+            assert read_frame(sock)[0] == OP_ERROR
+        client = WorkerClient(worker.address, worker_index=2, timeout=10)
+        try:
+            client.send_gradient_request(np.zeros(3))
+            with pytest.raises(WorkerError, match="no shard loaded"):
+                client.recv_gradient()
+        finally:
+            client.close()
 
     def test_client_reset_mid_request_leaves_the_worker_serving(self, worker):
         # The client resets its socket while the worker computes a gradient on

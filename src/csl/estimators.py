@@ -70,20 +70,17 @@ class IleaTrajectory:
         return len(self.iterates) - 1
 
 
-def ilea(cluster: Cluster, theta0: np.ndarray | None = None,
-         rounds: int = 3) -> IleaTrajectory:
+def ilea(cluster: Cluster, theta0: np.ndarray, rounds: int = 3) -> IleaTrajectory:
     """Iterate one-step refits from theta0: each round is one gradient round
-    (2*(k-1) vectors) to build the surrogate, then :func:`one_step_update`.
+    (2*(k-1) vectors) to build the surrogate, then :func:`one_step_update`,
+    so the run costs exactly 2*rounds*(k-1) vectors.
 
-    theta0=None starts from the averaging estimator, which adds its own k-1
-    reply vectors before the rounds begin; pass an explicit start to keep the
-    cost at exactly 2*rounds*(k-1). Solver failures propagate with the failing
-    round prefixed to the message.
+    Any consistent start will do, since each round contracts its error;
+    :func:`subsample_estimator` is one that costs no communication. Solver
+    failures propagate with the failing round prefixed to the message.
     """
     if rounds < 0:
         raise DataError("rounds must be >= 0")
-    if theta0 is None:
-        theta0 = averaging_estimator(cluster)
     theta = np.array(theta0, dtype=np.float64)
     iterates = [theta.copy()]
     for t in range(1, rounds + 1):

@@ -201,8 +201,7 @@ def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarr
 
 def _coverage_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                     trial: int, emit) -> None:
-    theta_avg = averaging_estimator(cluster)
-    center = ilea(cluster, theta_avg, rounds=config.rounds).final
+    center = ilea(cluster, subsample_estimator(cluster), rounds=config.rounds).final
     emit("csl", "sq_error", _sq_error(center, theta_star))
 
     surr = build_surrogate(cluster, center)

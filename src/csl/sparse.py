@@ -29,19 +29,16 @@ def local_lasso(model: LossModel, shard: DataShard, lam: float | None = None,
     return run_fit(LassoFit(lam, settings), ShardLoss(model, shard))
 
 
-def csl_lasso(cluster: Cluster, anchor: np.ndarray | None = None,
-              lam: float | None = None,
+def csl_lasso(cluster: Cluster, anchor: np.ndarray, lam: float | None = None,
               settings: L1Settings = L1Settings()) -> SparseEstimate:
     """Penalized surrogate fit: one gradient round to build the surrogate at
     the anchor, then a working-set FISTA on the coordinator's shard.
 
-    anchor=None fits a calibrated lasso on the coordinator's shard first
-    (communication-free). lam=None uses the pooled-scale heuristic with the
+    ``local_lasso(cluster.model, cluster.shards[0]).theta`` is an anchor that
+    costs no communication. lam=None uses the pooled-scale heuristic with the
     noise level read off the anchor's residuals on the coordinator's shard.
     """
     LassoFit(lam, settings)  # rejects a bad penalty before any round moves the ledger
-    if anchor is None:
-        anchor = run_fit(LassoFit(None, settings), cluster.losses[0]).theta
     anchor = np.asarray(anchor, dtype=np.float64)
     if lam is None:
         sigma_hat = _noise_sd(cluster.losses[0], anchor)
@@ -50,12 +47,12 @@ def csl_lasso(cluster: Cluster, anchor: np.ndarray | None = None,
     return _working_set_lasso(surr, lam, anchor, settings)
 
 
-def iterative_csl_lasso(cluster: Cluster, rounds: int,
-                        theta0: np.ndarray | None = None, lam: float | None = None,
+def iterative_csl_lasso(cluster: Cluster, theta0: np.ndarray, rounds: int,
+                        lam: float | None = None,
                         settings: L1Settings = L1Settings()) -> list[SparseEstimate]:
     """Re-anchor the surrogate lasso on its own output for a fixed number of
-    rounds; each round costs one gradient round. lam is one penalty for every
-    round, or None for the per-round heuristic."""
+    rounds, starting at theta0; each round costs one gradient round. lam is
+    one penalty for every round, or None for the per-round heuristic."""
     if rounds < 1:
         raise DataError("rounds must be >= 1")
     anchor = theta0

@@ -3,8 +3,10 @@
 Each test prints ``[criterion NN] PASS|FAIL <label>`` on the live terminal
 (bypassing capture) so a full ``pytest`` run always shows the ten verdicts.
 The statistical checks (5 through 8) run the shipped desk presets and assert
-the orderings and thresholds those sweeps are designed to show; the rest are
-algebraic identities, oracle equivalences, and exact ledger counts.
+the orderings and thresholds those sweeps are designed to show; their lines
+also print each asserted statistic next to its bound, so a run shows how
+close it came to failing. The rest are algebraic identities, oracle
+equivalences, and exact ledger counts.
 """
 
 import csv
@@ -34,18 +36,23 @@ from conftest import enumerate_lasso_d3, fd_gradient, fd_jacobian, gauss_jordan_
 
 @contextmanager
 def criterion(capfd, number, label):
+    """Time the body and announce its verdict. The body may append
+    "statistic=value <bound>" strings to the yielded list before it asserts
+    on them; the line prints them after the time."""
+    shown = []
     started = time.perf_counter()
     try:
-        yield
+        yield shown
     except BaseException:
-        _announce(capfd, number, label, "FAIL", time.perf_counter() - started)
+        _announce(capfd, number, label, "FAIL", time.perf_counter() - started, shown)
         raise
-    _announce(capfd, number, label, "PASS", time.perf_counter() - started)
+    _announce(capfd, number, label, "PASS", time.perf_counter() - started, shown)
 
 
-def _announce(capfd, number, label, verdict, elapsed):
+def _announce(capfd, number, label, verdict, elapsed, shown):
+    margins = f": {'; '.join(shown)}" if shown else ""
     with capfd.disabled():
-        print(f"[criterion {number:02d}] {verdict} {label} ({elapsed:.1f}s)")
+        print(f"[criterion {number:02d}] {verdict} {label} ({elapsed:.1f}s){margins}")
 
 
 def _medians(path, metric, estimator=None):
@@ -181,7 +188,7 @@ def test_criterion_04_ledger_exactness(capfd):
 
 
 def test_criterion_05_refits_track_global_in_k_sweep(capfd, tmp_path):
-    with criterion(capfd, 5, "two refits vs global and averaging across k"):
+    with criterion(capfd, 5, "two refits vs global and averaging across k") as shown:
         start = time.perf_counter()
         config = replace(desk_presets()["sweep_k_desk"],
                          out=str(tmp_path / "sweep_k.csv"))
@@ -190,15 +197,19 @@ def test_criterion_05_refits_track_global_in_k_sweep(capfd, tmp_path):
         med_global = _medians(result.path, "sq_error", "global")
         med_avg = _medians(result.path, "sq_error", "averaging")
         med_two = _medians(result.path, "sq_error", "csl_2")
-        for k in (16, 64, 256):
-            point = (256, k)
+        points = [(256, k) for k in (16, 64, 256)]
+        shown += [f"csl_2/global@{k}={med_two[(n, k)] / med_global[(n, k)]:.3f} <= 1.2"
+                  for n, k in points]
+        shown += [f"csl_2/averaging@{k}={med_two[(n, k)] / med_avg[(n, k)]:.3f} < 1"
+                  for n, k in points]
+        for point in points:
             assert med_two[point] <= 1.2 * med_global[point]
             assert med_two[point] < med_avg[point]
         assert time.perf_counter() - start < 300.0
 
 
 def test_criterion_06_plugin_interval_coverage(capfd, tmp_path):
-    with criterion(capfd, 6, "plug-in 95% intervals cover at nominal rate"):
+    with criterion(capfd, 6, "plug-in 95% intervals cover at nominal rate") as shown:
         start = time.perf_counter()
         config = replace(desk_presets()["coverage_desk"],
                          out=str(tmp_path / "coverage.csv"))
@@ -213,13 +224,16 @@ def test_criterion_06_plugin_interval_coverage(capfd, tmp_path):
             assert len(vals) == 200
             return sum(vals) / len(vals)
 
-        assert 0.90 <= rate("covered_local", 16) <= 0.99
-        assert 0.90 <= rate("covered_cross", 64) <= 0.99
+        local, cross = rate("covered_local", 16), rate("covered_cross", 64)
+        shown += [f"covered_local@16={local:.3f} in [0.90, 0.99]",
+                  f"covered_cross@64={cross:.3f} in [0.90, 0.99]"]
+        assert 0.90 <= local <= 0.99
+        assert 0.90 <= cross <= 0.99
         assert time.perf_counter() - start < 600.0
 
 
 def test_criterion_07_lasso_error_scales_with_machines(capfd, tmp_path):
-    with criterion(capfd, 7, "fixed-shard lasso error scaling in k"):
+    with criterion(capfd, 7, "fixed-shard lasso error scaling in k") as shown:
         start = time.perf_counter()
         config = replace(desk_presets()["lasso_shard_desk"],
                          out=str(tmp_path / "lasso.csv"))
@@ -231,15 +245,17 @@ def test_criterion_07_lasso_error_scales_with_machines(capfd, tmp_path):
         csl_path = [med_csl[(400, k)] for k in ks]
         avg_path = [med_avg[(400, k)] for k in ks]
         slope = float(np.polyfit(np.log(ks), np.log(csl_path), 1)[0])
-        assert -1.3 <= slope <= -0.7
         csl_ratio = csl_path[-1] / csl_path[0]
         avg_ratio = avg_path[-1] / avg_path[0]
+        shown += [f"slope={slope:.3f} in [-1.3, -0.7]",
+                  f"averaging_ratio/csl_ratio={avg_ratio / csl_ratio:.2f} >= 2"]
+        assert -1.3 <= slope <= -0.7
         assert avg_ratio >= 2.0 * csl_ratio
         assert time.perf_counter() - start < 600.0
 
 
 def test_criterion_08_surrogate_posterior_tracks_full_posterior(capfd, tmp_path):
-    with criterion(capfd, 8, "surrogate posterior close to full posterior"):
+    with criterion(capfd, 8, "surrogate posterior close to full posterior") as shown:
         start = time.perf_counter()
         config = replace(desk_presets()["bayes_desk"],
                          out=str(tmp_path / "bayes.csv"))
@@ -247,6 +263,9 @@ def test_criterion_08_surrogate_posterior_tracks_full_posterior(capfd, tmp_path)
         assert result.error_flags == 0
         med = _medians(result.path, "marginal_l1_1", "csl_bayes")
         by_n = [med[(n, 16)] for n in (64, 256, 1024)]
+        shown += [f"marginal_l1_1@256={med[(256, 16)]:.4f} < 0.15",
+                  "marginal_l1_1@64,256,1024="
+                  + " >= ".join(f"{v:.4f}" for v in by_n) + " (monotone)"]
         assert med[(256, 16)] < 0.15
         assert by_n[0] >= by_n[1] >= by_n[2]
         assert time.perf_counter() - start < 300.0

@@ -100,18 +100,6 @@ class TestIlea:
         assert traj.rounds == 3
         assert len(traj.iterates) == 4  # start plus one per round
 
-    def test_ledger_cost_default_start_includes_averaging(self):
-        cluster = logistic_cluster(k=5)
-        ledger0 = cluster.ledger.copy()
-        ilea(cluster, rounds=2)
-        assert cluster.ledger.vectors_sent - ledger0.vectors_sent == (5 - 1) + 2 * 2 * (5 - 1)
-
-    def test_default_start_is_averaging_estimator(self):
-        cluster = logistic_cluster(k=4, seed=43)
-        start = averaging_estimator(logistic_cluster(k=4, seed=43))
-        traj = ilea(cluster, rounds=1)
-        np.testing.assert_array_equal(traj.iterates[0], start)
-
     def test_exact_surrogate_mode_runs_and_converges(self):
         # six rounds of the exact surrogate estimator, each re-anchored on the
         # last, home in on the pooled fit

@@ -202,6 +202,10 @@ class TestRunCoverage:
         widths = [float(r["value"]) for r in rows
                   if r["metric"].startswith("halfwidth_")]
         assert all(w > 0 for w in widths)
+        # three refit rounds, the interval round and the cross round, each
+        # 2(k-1) vectors; the start is the coordinator's own fit
+        sent = [float(r["value"]) for r in rows if r["metric"] == "vectors_sent"]
+        assert sent == [10 * (4 - 1)] * 3
 
 
 class TestRunBayes:

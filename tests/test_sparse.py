@@ -202,18 +202,13 @@ class TestCslLasso:
 
     def test_recovers_planted_support(self):
         cluster, theta_star = sparse_cluster(k=8, n_per_shard=150, d=60, s=3)
-        fit = csl_lasso(cluster)
+        local = local_lasso(cluster.model, cluster.shards[0])
+        fit = csl_lasso(cluster, local.theta)
         true_support = set(np.nonzero(theta_star)[0].tolist())
         assert true_support <= set(fit.support.tolist())
         err = float(np.linalg.norm(fit.theta - theta_star))
-        local = local_lasso(cluster.model, cluster.shards[0])
         err_local = float(np.linalg.norm(local.theta - theta_star))
         assert err < err_local
-
-    def test_default_anchor_is_communication_free(self):
-        cluster, _ = sparse_cluster(k=4)
-        csl_lasso(cluster)
-        assert cluster.ledger.vectors_sent == 2 * 3  # only the build round
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
     def test_penalty_is_finite_and_nonnegative(self, lam):
@@ -246,7 +241,8 @@ class TestCslLasso:
 class TestIterativeCslLasso:
     def test_round_count_and_ledger(self):
         cluster, _ = sparse_cluster(k=4)
-        fits = iterative_csl_lasso(cluster, rounds=3, lam=0.2)
+        start = local_lasso(cluster.model, cluster.shards[0]).theta
+        fits = iterative_csl_lasso(cluster, start, rounds=3, lam=0.2)
         assert len(fits) == 3
         assert cluster.ledger.rounds == 3
         assert cluster.ledger.vectors_sent == 3 * 2 * 3
@@ -259,8 +255,9 @@ class TestIterativeCslLasso:
         lam = 0.08
         pooled = local_lasso(cluster.model, cluster.pooled_shard(meter=False),
                              lam=lam, settings=L1Settings(tol=1e-12))
-        fits = iterative_csl_lasso(cluster, rounds=4, lam=lam,
-                                   settings=L1Settings(tol=1e-12))
+        tight = L1Settings(tol=1e-12)
+        start = local_lasso(cluster.model, cluster.shards[0], settings=tight).theta
+        fits = iterative_csl_lasso(cluster, start, rounds=4, lam=lam, settings=tight)
         dists = [float(np.linalg.norm(f.theta - pooled.theta)) for f in fits]
         assert all(b < a for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-4

@@ -55,7 +55,11 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     mapping: dict[str, str] = {}
     if args.config:
-        mapping.update(parse_config_text(Path(args.config).read_text()))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file: {exc}")
+        mapping.update(parse_config_text(text))
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")

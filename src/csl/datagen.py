@@ -35,7 +35,7 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     String keys are folded in through a stable hash, so stream identity
     depends only on the values, not on interpreter state.
     """
-    entropy = [int(master_seed)]
+    entropy = _key_words(int(master_seed))
     for key in keys:
         entropy.extend(_key_words(key))
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -86,6 +86,8 @@ class ExperimentConfig:
             object.__setattr__(self, "experiment", canonical)
         if self.d < 1 or self.trials < 1 or self.rounds < 1:
             raise ConfigError("d, trials and rounds must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if any(n < 1 for n in self.n_values):
             raise ConfigError("n must be a list of positive ints")
         if not self.k_values or any(k < 1 for k in self.k_values):
@@ -391,10 +393,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     body = _DESIGNS[config.experiment][0]
     points = _sweep_points(config)
     path = config.out_path
-    if path.parent != Path("."):
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot write results file: {exc}")
     rows_written = error_flags = 0
-    with open(path, "w", newline="") as fh:
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         for n, k in points:

@@ -32,16 +32,11 @@ __all__ = [
 ]
 
 
-def softplus(u: np.ndarray, out: np.ndarray | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
-    """log(1 + exp(u)) as max(u, 0) + log1p(exp(-|u|)), which cannot overflow.
-
-    ``out`` receives the result and ``work`` the log1p term; each is an array
-    shaped like u that shares no memory with it, allocated when not given.
-    """
+def softplus(u: np.ndarray) -> np.ndarray:
+    """log(1 + exp(u)) as max(u, 0) + log1p(exp(-|u|)), which cannot overflow."""
     u = np.asarray(u, dtype=np.float64)
-    e = _exp_neg_abs(u, out=work)
-    return _softplus(u, e, out=out, work=e)
+    e = _exp_neg_abs(u)
+    return _softplus(u, e, work=e)
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -267,10 +262,6 @@ class ShardLoss:
         """The gradient alone, bit for bit ``eval(theta, 1)[1]``; what a
         gradient round needs."""
         return self._at(theta)._gradient()
-
-    def mean(self, theta: np.ndarray) -> np.ndarray:
-        """The model mean of each sample's response at theta."""
-        return self._at(theta)._mean().copy()
 
     def per_sample(self, theta: np.ndarray) -> np.ndarray:
         """(n, d) matrix whose i-th row is the gradient of sample i's loss term.

@@ -15,7 +15,7 @@ gradient over all columns. The fit is certified only when the subgradient
 condition holds on every column at the stopping slack; otherwise the columns
 that break it, largest first, join the set and the next pass starts from the
 current fit. The passes share the iteration budget of :class:`L1Settings`.
-Every penalty must be finite and >= 0.
+Every penalty is named by the caller, and :class:`LassoFit` checks it.
 
 :func:`run_fit` serves a typed local-fit request from zero,
 :class:`SolverSettings` for the Newton fit or :class:`LassoFit` for the lasso,
@@ -55,8 +55,6 @@ _ARMIJO_C = 1e-4
 _SNAP = 1e-12
 # Backtracking gives up once the local Lipschitz estimate passes this.
 _MAX_LIPSCHITZ = 1e18
-# Noise-estimate/refit passes of the calibrated local lasso.
-_REFIT_PASSES = 6
 # Columns beyond the start point's support in the first working set, and the
 # factor by which one pass may at most grow the set.
 _WS_START = 10
@@ -277,12 +275,6 @@ def lambda_heuristic(sigma_hat: float, d: int, n: int, scale: float = 2.0) -> fl
     return scale * sigma_hat * math.sqrt(math.log(d) / n)
 
 
-def _noise_sd(loss: ShardLoss, theta: np.ndarray) -> float:
-    """Root mean squared residual of y against the model mean at theta."""
-    resid = loss.shard.y - loss.mean(theta)
-    return float(np.sqrt(np.mean(resid * resid)))
-
-
 def _add_violators(working: np.ndarray, grad: np.ndarray, lam: float,
                    slack: float, room: int) -> np.ndarray:
     """The working set plus at most ``room`` columns outside it whose gradient
@@ -312,8 +304,6 @@ def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
     iterations for a larger one, and where a pass stalled moves no later
     budget. ``iterations`` is the total the passes ran.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DataError("lam must be a finite value >= 0")
     theta = np.array(theta0, dtype=np.float64)
     slack = 10.0 * settings.tol
     value, grad = loss.eval(theta, 1)
@@ -350,15 +340,15 @@ def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
 
 @dataclass(frozen=True)
 class LassoFit:
-    """A request for the local lasso fit from zero: the penalty, or None to
-    calibrate it on the shard, and the FISTA settings."""
+    """A request for the local lasso fit from zero: the penalty, which every
+    lasso checks here, and the FISTA settings."""
 
-    lam: float | None = None
+    lam: float
     settings: L1Settings = L1Settings()
 
     def __post_init__(self):
-        if self.lam is not None and not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise DataError("lam must be None or a finite value >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise DataError("lam must be a finite value >= 0")
 
 
 FitRequest = SolverSettings | LassoFit
@@ -368,20 +358,8 @@ def run_fit(request: FitRequest, loss: ShardLoss) -> np.ndarray | SparseEstimate
     """Serve one local-fit request on a bound shard evaluator, from zero: the
     Newton fit for :class:`SolverSettings`, a :class:`SparseEstimate` for
     :class:`LassoFit`.
-
-    A lasso request with lam=None calibrates the penalty by alternating a
-    noise estimate at the current fit with a refit at the implied level. The
-    first pass over-penalizes when the signal is strong; the recursion settles
-    within a few passes as residuals approach the noise floor.
     """
     if not isinstance(request, LassoFit):
         return local_fit(loss, request)
-    theta = np.zeros(loss.shard.n_features)
-    if request.lam is not None:
-        return _working_set_lasso(loss, request.lam, theta, request.settings)
-    for _ in range(_REFIT_PASSES):
-        lam = lambda_heuristic(_noise_sd(loss, theta), loss.shard.n_features,
-                               loss.shard.n_samples)
-        estimate = _working_set_lasso(loss, lam, theta, request.settings)
-        theta = estimate.theta
-    return estimate
+    return _working_set_lasso(loss, request.lam, np.zeros(loss.shard.n_features),
+                              request.settings)

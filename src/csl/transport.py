@@ -9,15 +9,14 @@ worker's shard keeps; the wire bytes are those of one packed frame. A reply
 vector must hold exactly the d floats of the loaded shard. A Newton local-fit
 request (0x04) carries the SolverSettings as ``<dI`` (grad_tol, max_iters) and
 gets the fit's d floats back (0x05); a lasso request (0x07) carries ``<ddI``
-(lam, NaN to calibrate; tol, max_iters) and gets ``<dI?`` (objective,
-iterations, converged), then the fit's d floats (0x08).
+(lam, tol, max_iters) and gets ``<dI?`` (objective, iterations, converged),
+then the fit's d floats (0x08).
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import math
 import socket
 import struct
 import threading
@@ -47,7 +46,7 @@ OP_ERROR = 0x7F
 _HEADER = struct.Struct("<BI")
 _SHAPE = struct.Struct("<II")  # n, d of a shard payload
 _SETTINGS = struct.Struct("<dI")  # the SolverSettings fields, in order
-_LASSO = struct.Struct("<ddI")  # lam (NaN: calibrate), then the L1Settings fields
+_LASSO = struct.Struct("<ddI")  # the LassoFit fields: lam, then the L1Settings fields
 _STATUS = struct.Struct("<dI?")  # objective, iterations, converged of a lasso fit
 _MAX_PAYLOAD = 1 << 31  # sanity bound, far above anything this package sends
 
@@ -207,8 +206,7 @@ class WorkerServer:
             theta = run_fit(SolverSettings(*_SETTINGS.unpack(payload)), self._loss)
             return pack_frame(OP_LOCAL_MIN_REPLY, _encode_vector(theta))
         lam, tol, max_iters = _LASSO.unpack(payload)
-        fit = run_fit(LassoFit(None if math.isnan(lam) else lam, L1Settings(tol, max_iters)),
-                      self._loss)
+        fit = run_fit(LassoFit(lam, L1Settings(tol, max_iters)), self._loss)
         status = _STATUS.pack(fit.objective_value, fit.iterations, fit.converged)
         return pack_frame(OP_LASSO_REPLY, status + _encode_vector(fit.theta))
 
@@ -277,9 +275,8 @@ class WorkerClient:
 
     def send_local_min_request(self, request: FitRequest) -> None:
         if isinstance(request, LassoFit):
-            lam = math.nan if request.lam is None else request.lam
-            return self._send(OP_LASSO_REQ,
-                              _LASSO.pack(lam, *dataclasses.astuple(request.settings)))
+            return self._send(OP_LASSO_REQ, _LASSO.pack(
+                request.lam, *dataclasses.astuple(request.settings)))
         self._send(OP_LOCAL_MIN_REQ, _SETTINGS.pack(*dataclasses.astuple(request)))
 
     def recv_local_min(self, request: FitRequest) -> np.ndarray | SparseEstimate:

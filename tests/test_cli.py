@@ -115,6 +115,35 @@ class TestRun:
     def test_bad_override_exits_two(self, capsys):
         assert run_cli("run", "--preset", "sweep_k_desk", "bogus") == 2
 
+    @pytest.mark.parametrize("spelling", ["override", "env"])
+    def test_negative_seed_exits_two_before_any_file(self, spelling, tmp_path, monkeypatch,
+                                                     capsys):
+        out = tmp_path / "neg.csv"
+        args = ["run", "--preset", "sweep_k_desk", "--out", str(out)]
+        if spelling == "env":
+            monkeypatch.setenv("CSL_SEED", "-1")
+        else:
+            monkeypatch.delenv("CSL_SEED", raising=False)
+            args.append("seed=-1")
+        assert run_cli(*args) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["missing_config", "non_utf8_config", "out_under_file"])
+    def test_unreadable_input_or_unwritable_output_exits_two(self, case, tmp_path, capsys):
+        (tmp_path / "latin1.txt").write_bytes(b"experiment = MestSweepK\nout = \xff.csv\n")
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "r.csv"
+        source, out = {
+            "missing_config": (["--config", str(tmp_path / "absent.txt")], out),
+            "non_utf8_config": (["--config", str(tmp_path / "latin1.txt")], out),
+            "out_under_file": (["--preset", "sweep_k_desk"], tmp_path / "file" / "r.csv"),
+        }[case]
+        assert run_cli("run", *source, "--out", str(out), "trials=1", "k=2", "n=32") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_flagged_trials_exit_three(self, tmp_path, monkeypatch, capsys):
         import csl.experiments as experiments
         from csl.errors import CslError

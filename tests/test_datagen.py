@@ -25,6 +25,11 @@ class TestDeriveRng:
         assert draws.tolist() == derive_rng(7, "stable-key").integers(
             0, 1 << 30, 4).tolist()
 
+    def test_negative_seed_or_key_is_rejected(self):
+        for seed, keys in [(-1, ()), (0, (-1,))]:
+            with pytest.raises(DataError, match="nonnegative"):
+                derive_rng(seed, *keys)
+
 
 class TestGenLogistic:
     def test_deterministic_bytes(self):

@@ -182,15 +182,15 @@ class TestKernels:
 
 def plain_expressions(family, shard, theta):
     """The evaluator's arithmetic written as whole-array expressions, each of
-    which allocates its result: value, gradient, Hessian, mean and per-sample
-    rows. The buffered evaluator must equal these bit for bit."""
+    which allocates its result: value, gradient, Hessian and per-sample rows.
+    The buffered evaluator must equal these bit for bit."""
     x, y, n = shard.x, shard.y, shard.n_samples
     u = x @ theta
     if family == "linear":
         r = y - u
         mean = u
         return (float(np.mean(r * r)), (2.0 / n) * (x.T @ (mean - y)),
-                (2.0 / n) * (x.T @ x), mean, x * (2.0 * (mean - y))[:, None])
+                (2.0 / n) * (x.T @ x), x * (2.0 * (mean - y))[:, None])
     if family == "logistic":
         e = np.exp(-np.abs(u))
         phi = np.maximum(u, 0.0) + np.log1p(e)
@@ -199,7 +199,7 @@ def plain_expressions(family, shard, theta):
     else:
         phi = mean = weight = np.exp(u)
     return (float(np.mean(phi - y * u)), (x.T @ (mean - y)) / n,
-            (x * weight[:, None]).T @ x / n, mean, x * (mean - y)[:, None])
+            (x * weight[:, None]).T @ x / n, x * (mean - y)[:, None])
 
 
 FAMILIES = {"logistic": LossModel.logistic(), "linear": LossModel.linear(),
@@ -219,7 +219,7 @@ class TestBuffers:
         loss, rng = family_loss(family, 257, 3, 21)
         for _ in range(5):
             theta = 0.5 * rng.standard_normal(3)
-            value, grad, hess, mean, rows = plain_expressions(family, loss.shard, theta)
+            value, grad, hess, rows = plain_expressions(family, loss.shard, theta)
             assert loss.eval(theta, 0) == (value,)
             v1, g1 = loss.eval(theta, 1)
             v2, g2, h2 = loss.eval(theta, 2)
@@ -227,28 +227,16 @@ class TestBuffers:
             for got in (g1, g2, loss.gradient(theta)):
                 np.testing.assert_array_equal(got, grad)
             np.testing.assert_array_equal(h2, hess)
-            np.testing.assert_array_equal(loss.mean(theta), mean)
             np.testing.assert_array_equal(loss.per_sample(theta), rows)
-
-    def test_softplus_out_and_work_keep_the_value(self):
-        u = np.linspace(-800.0, 800.0, 4001)
-        want = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
-        out, work = np.empty_like(u), np.empty_like(u)
-        got = softplus(u, out=out, work=work)
-        assert got is out
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(softplus(u), want)
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_results_never_alias_the_buffers(self, family):
         loss, rng = family_loss(family, 64, 2, 22)
         theta, other = 0.3 * rng.standard_normal(2), 0.3 * rng.standard_normal(2)
-        first = loss.eval(theta, 2) + (loss.gradient(theta), loss.mean(theta),
-                                       loss.per_sample(theta))
+        first = loss.eval(theta, 2) + (loss.gradient(theta), loss.per_sample(theta))
         kept = [np.array(item, copy=True) for item in first]
         loss.eval(other, 2)
         loss.gradient(other)
-        loss.mean(other)
         loss.per_sample(other)
         for item, copy in zip(first, kept):
             np.testing.assert_array_equal(item, copy)
@@ -256,7 +244,7 @@ class TestBuffers:
         for item in first[1:]:
             item[...] = np.nan
         assert loss.eval(theta, 0) == (value,)
-        np.testing.assert_array_equal(loss.mean(theta), kept[4])
+        np.testing.assert_array_equal(loss.per_sample(theta), kept[4])
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_value_allocates_no_n_vector(self, family):
@@ -279,8 +267,6 @@ def _results(loss, call, theta):
     """One call on an evaluator, as a tuple of its returned arrays and floats."""
     if call == "gradient":
         return (loss.gradient(theta),)
-    if call == "mean":
-        return (loss.mean(theta),)
     if call == "per_sample":
         return (loss.per_sample(theta),)
     return loss.eval(theta, call)
@@ -309,9 +295,8 @@ class TestPointMemory:
         loss, rng = family_loss(family, 129, 3, 31)
         a, b = 0.4 * rng.standard_normal(3), 0.4 * rng.standard_normal(3)
         calls = [(0, a), (2, a), (1, a), ("gradient", b), (2, b), ("per_sample", b),
-                 ("mean", b), (0, a), ("mean", a), ("gradient", a), (2, a),
-                 ("per_sample", a), (1, b), (0, b), (2, np.zeros(3)), (2, -np.zeros(3)),
-                 (0, a.copy())]
+                 (0, a), ("gradient", a), (2, a), ("per_sample", a), (1, b), (0, b),
+                 (2, np.zeros(3)), (2, -np.zeros(3)), (0, a.copy())]
         for call, theta in calls:
             got = _results(loss, call, theta)
             want = _results(ShardLoss(loss.model, loss.shard), call, theta)
@@ -324,13 +309,13 @@ class TestPointMemory:
         loss, rng = family_loss(family, 64, 3, 32)
         theta = 0.3 * rng.standard_normal(3)
         value, grad, hess = (np.array(r, copy=True) for r in loss.eval(theta, 2))
-        for spoil in (loss.eval(theta, 2)[1:] + (loss.gradient(theta), loss.mean(theta))):
+        for spoil in (loss.eval(theta, 2)[1:] + (loss.gradient(theta), loss.per_sample(theta))):
             spoil[...] = np.nan
         assert loss.eval(theta, 2)[0] == value
         np.testing.assert_array_equal(loss.eval(theta, 1)[1], grad)
         np.testing.assert_array_equal(loss.gradient(theta), grad)
         np.testing.assert_array_equal(loss.eval(theta, 2)[2], hess)
-        assert np.isfinite(loss.mean(theta)).all()
+        assert np.isfinite(loss.per_sample(theta)).all()
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_theta_changed_in_place_is_a_new_point(self, family):

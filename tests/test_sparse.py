@@ -8,8 +8,8 @@ from csl.cluster import Cluster, CommLedger
 from csl.datagen import derive_rng, gen_sparse_linear
 from csl.errors import DataError, NonConvergenceError
 from csl.losses import DataShard, LossModel, ShardLoss
-from csl.solvers import (L1Settings, _noise_sd, _stationarity_ok, _working_set_lasso,
-                         fista_l1, lambda_heuristic, soft_threshold)
+from csl.solvers import (L1Settings, _stationarity_ok, _working_set_lasso, fista_l1,
+                         lambda_heuristic, soft_threshold)
 from csl.sparse import averaging_lasso, csl_lasso, iterative_csl_lasso, local_lasso
 from csl.surrogate import build_surrogate
 
@@ -167,15 +167,6 @@ class TestCalibration:
         assert lambda_heuristic(1.0, 50, 100, scale=4.0) == pytest.approx(
             2 * lambda_heuristic(1.0, 50, 100, scale=2.0))
 
-    def test_noise_estimate_recovers_sigma(self):
-        rng = derive_rng(17, "noise")
-        x = rng.normal(size=(20_000, 3))
-        theta = np.array([1.0, -1.0, 0.5])
-        y = x @ theta + 0.7 * rng.normal(size=20_000)
-        shard = DataShard(x=x, y=y)
-        got = _noise_sd(ShardLoss(LossModel.linear(), shard), theta)
-        assert got == pytest.approx(0.7, rel=0.05)
-
 
 def sparse_cluster(k, n_per_shard=200, d=40, s=4, sigma=0.5, seed=29):
     shards, theta_star = gen_sparse_linear(
@@ -202,8 +193,8 @@ class TestCslLasso:
 
     def test_recovers_planted_support(self):
         cluster, theta_star = sparse_cluster(k=8, n_per_shard=150, d=60, s=3)
-        local = local_lasso(cluster.model, cluster.shards[0])
-        fit = csl_lasso(cluster, local.theta)
+        local = local_lasso(cluster.model, cluster.shards[0], lambda_heuristic(0.5, 60, 150))
+        fit = csl_lasso(cluster, local.theta, lambda_heuristic(0.5, 60, cluster.n_total))
         true_support = set(np.nonzero(theta_star)[0].tolist())
         assert true_support <= set(fit.support.tolist())
         err = float(np.linalg.norm(fit.theta - theta_star))
@@ -241,7 +232,8 @@ class TestCslLasso:
 class TestIterativeCslLasso:
     def test_round_count_and_ledger(self):
         cluster, _ = sparse_cluster(k=4)
-        start = local_lasso(cluster.model, cluster.shards[0]).theta
+        start = local_lasso(cluster.model, cluster.shards[0],
+                            lambda_heuristic(0.5, cluster.d, 200)).theta
         fits = iterative_csl_lasso(cluster, start, rounds=3, lam=0.2)
         assert len(fits) == 3
         assert cluster.ledger.rounds == 3
@@ -256,7 +248,8 @@ class TestIterativeCslLasso:
         pooled = local_lasso(cluster.model, cluster.pooled_shard(meter=False),
                              lam=lam, settings=L1Settings(tol=1e-12))
         tight = L1Settings(tol=1e-12)
-        start = local_lasso(cluster.model, cluster.shards[0], settings=tight).theta
+        start = local_lasso(cluster.model, cluster.shards[0],
+                            lambda_heuristic(0.5, cluster.d, 200), tight).theta
         fits = iterative_csl_lasso(cluster, start, rounds=4, lam=lam, settings=tight)
         dists = [float(np.linalg.norm(f.theta - pooled.theta)) for f in fits]
         assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -288,10 +281,9 @@ class TestAveragingLasso:
         assert cluster.ledger.rounds == 1
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
-    def test_penalty_is_none_or_finite_and_nonnegative(self, lam):
-        # NaN is also the wire's calibrate marker, so it must never be a penalty
+    def test_penalty_is_finite_and_nonnegative(self, lam):
         cluster, _ = sparse_cluster(k=3)
-        with pytest.raises(DataError, match="lam must be None or a finite value"):
+        with pytest.raises(DataError, match="lam must be a finite value >= 0"):
             averaging_lasso(cluster, lam=lam)
         assert cluster.ledger.rounds == 0
 
@@ -383,8 +375,6 @@ class TestWorkingSet:
         fit = local_lasso(LossModel.linear(), shard, lam=0.1, settings=settings)
         assert not fit.converged
         assert 1 <= fit.iterations <= 3
-        calibrated = local_lasso(LossModel.linear(), shard, settings=settings)
-        assert not calibrated.converged and calibrated.iterations <= 3
 
     def test_penalty_above_the_gradient_at_zero_gives_exact_zero(self):
         shard = wide_shard()

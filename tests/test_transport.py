@@ -14,7 +14,7 @@ from csl.errors import DataError, NonConvergenceError, WorkerError
 from csl.estimators import subsample_estimator
 from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import L1Settings, LassoFit, SolverSettings, local_fit
-from csl.sparse import averaging_lasso
+from csl.sparse import averaging_lasso, local_lasso
 from csl.transport import (OP_ERROR, OP_EVAL_GRAD, OP_GRAD_REPLY, OP_LASSO_REPLY,
                            OP_LASSO_REQ, OP_LOAD_SHARD, OP_LOCAL_MIN_REPLY,
                            OP_LOCAL_MIN_REQ, WorkerClient, WorkerServer, pack_frame,
@@ -98,6 +98,30 @@ class TestWorkerProtocol:
             with pytest.raises(WorkerError, match=f"{kind} request payload"):
                 client.recv_local_min(request)
         client.close()
+
+    def test_nan_penalty_gets_error_frame_and_connection_serves_on(self, worker):
+        shards, _ = gen_sparse_linear(d=20, n=40, k=1, s=3, sigma=0.5, seed_or_rng=5)
+        linear = WorkerServer(LossModel.linear()).start()
+        try:
+            client = WorkerClient(linear.address, worker_index=2)
+            client.load_shard(shards[0])
+            settings = L1Settings()
+            client._send(OP_LASSO_REQ, struct.pack("<ddI", float("nan"), settings.tol,
+                                                   settings.max_iters))
+            opcode, payload = read_frame(client._sock)
+            assert opcode == OP_ERROR
+            assert b"lam must be a finite value >= 0" in payload
+            request = LassoFit(0.05, settings)
+            client.send_local_min_request(request)
+            remote = client.recv_local_min(request)
+            local = local_lasso(LossModel.linear(), shards[0], 0.05, settings)
+            assert remote.theta.tobytes() == local.theta.tobytes()
+            assert struct.pack("<d", remote.objective_value) == struct.pack(
+                "<d", local.objective_value)
+            assert (remote.iterations, remote.converged) == (local.iterations, local.converged)
+            client.shutdown()
+        finally:
+            linear.stop()
 
     def test_request_before_load_gets_error_frame(self, worker):
         client = WorkerClient(worker.address, worker_index=2)
@@ -397,9 +421,9 @@ class TestTcpCluster:
             for a, b in zip(fits_tcp, plain.local_minimizer_round(widest)):
                 assert getattr(a, "theta", a).tobytes() == getattr(b, "theta", b).tobytes()
 
-    @pytest.mark.parametrize("lam, settings", [(0.05, L1Settings()), (None, L1Settings()),
+    @pytest.mark.parametrize("lam, settings", [(0.05, L1Settings()),
                                                (0.05, L1Settings(max_iters=3))],
-                             ids=["fixed", "calibrated", "unconverged"])
+                             ids=["fixed", "unconverged"])
     def test_averaging_lasso_over_tcp_is_bitwise_in_process(self, lam, settings):
         shards, _ = gen_sparse_linear(d=50, n=40, k=3, s=4, sigma=0.5, seed_or_rng=12)
         plain = Cluster(LossModel.linear(), shards)

@@ -92,8 +92,10 @@ class Chain:
 
 @dataclass(frozen=True)
 class McmcSettings:
-    iters: int = 20000
-    seed: int = 0
+    """Chain length and proposal-stream seed."""
+
+    iters: int
+    seed: int
 
     def __post_init__(self):
         if self.iters < 2:
@@ -101,7 +103,7 @@ class McmcSettings:
 
 
 def metropolis(log_target: Callable[[np.ndarray], float], theta0: np.ndarray,
-               proposal_scale: float, iters: int, seed: int = 0) -> Chain:
+               proposal_scale: float, iters: int, seed: int) -> Chain:
     """Random-walk Metropolis with an isotropic Gaussian proposal.
 
     Each iteration draws the proposal noise and the acceptance uniform in
@@ -150,14 +152,13 @@ def surrogate_log_posterior(s: SurrogateLoss, prior: Prior, theta: np.ndarray,
 
 
 def full_log_posterior(cluster: Cluster, prior: Prior, theta: np.ndarray,
-                       n_total: int | None = None) -> float:
-    """Pooled-loss posterior, the oracle: -N * mean shard loss + log prior.
+                       n_total: int) -> float:
+    """Pooled-loss posterior, the oracle: -n_total * mean shard loss + log prior.
 
     Reads every retained shard, so it is exact but not communication-honest;
-    use it for validation, not inside the protocol.
+    use it for validation, not inside the protocol. ``n_total`` is the
+    sample count the posterior stands for, usually ``cluster.n_total``.
     """
-    if n_total is None:
-        n_total = cluster.n_total
     logp = prior.log_density(theta)
     if logp == -math.inf:
         return -math.inf
@@ -175,16 +176,16 @@ class CslBayesResult:
     surrogate: SurrogateLoss
 
 
-def run_csl_bayes(cluster: Cluster, prior: Prior,
-                  mcmc: McmcSettings = McmcSettings()) -> CslBayesResult:
+def run_csl_bayes(cluster: Cluster, prior: Prior, mcmc: McmcSettings) -> CslBayesResult:
     """End-to-end surrogate-posterior sampling.
 
     The anchor is produced communication-free on the coordinator's shard and
     sharpened by ``_INIT_ROUNDS`` one-step refits; the final surrogate build
     adds one more gradient round, for 2*(_INIT_ROUNDS + 1)*(k-1) vectors total.
     Proposals are autoscaled to 2.4 / sqrt(d * N * hbar) with hbar the mean
-    diagonal curvature at the anchor, a normal-approximation step size; the
-    first half of the chain is burn-in.
+    diagonal curvature at the anchor, a normal-approximation step size. The
+    chain runs ``mcmc.iters`` steps on the proposal stream of ``mcmc.seed``;
+    its first half is burn-in.
     """
     start = subsample_estimator(cluster)
     anchor = ilea(cluster, start, rounds=_INIT_ROUNDS).final
@@ -214,12 +215,13 @@ def _coordinate_samples(chain, coordinate: int) -> np.ndarray:
     return data[:, coordinate]
 
 
-def marginal_l1(chain_a, chain_b, coordinate: int = 0, bins: int = 60) -> float:
-    """L1 distance in [0, 2] between two sampled marginals.
+def marginal_l1(chain_a, chain_b, coordinate: int, bins: int) -> float:
+    """L1 distance in [0, 2] between two sampled marginals of ``coordinate``.
 
-    Both samples are binned on the shared range spanned by the pooled 0.5 and
-    99.5 percentiles; each histogram is normalized over that range. Chains are
-    compared post burn-in; raw arrays are used as given.
+    Both samples are binned into ``bins`` equal bins on the shared range
+    spanned by the pooled 0.5 and 99.5 percentiles; each histogram is
+    normalized over that range. Chains are compared post burn-in; raw arrays
+    are used as given.
     """
     if bins < 2:
         raise DataError("bins must be >= 2")

@@ -1,10 +1,11 @@
-"""Command-line front end: generate datasets, run experiment sweeps, summarize results.
+"""Command-line front end: run experiment sweeps, summarize results.
 
-Subcommands: ``gen`` writes synthetic dataset CSVs, ``run`` executes an
-experiment config (a preset, overlaid in turn by the config file, key=value
-overrides, CSL_SEED and --out), ``report`` turns a results CSV
+Subcommands: ``run`` executes an experiment config (a preset, overlaid in
+turn by the config file, key=value overrides, CSL_SEED and --out) and
+generates each trial's data from its seed; ``report`` turns a results CSV
 into summary and plot-data files. Exit codes: 0 success, 2 bad
-configuration, 3 completed with flagged trials.
+configuration or a file that cannot be read or written, 3 completed with
+flagged trials.
 """
 
 from __future__ import annotations
@@ -15,41 +16,12 @@ import os
 import sys
 from pathlib import Path
 
-from .datagen import derive_rng, gen_logistic, gen_sparse_linear
 from .errors import ConfigError, DataError
 from .experiments import (RUNTIME_METRICS, config_from_mapping, config_values,
                           desk_presets, paper_presets, parse_config_text, report,
                           run_experiment)
-from .losses import shard_to_csv
 
 __all__ = ["main"]
-
-
-def _write_theta(path: Path, theta) -> None:
-    with open(path, "w") as fh:
-        fh.write("coordinate,value\n")
-        for j, v in enumerate(theta, start=1):
-            fh.write(f"{j},{float(v)!r}\n")
-
-
-def _cmd_gen(args) -> int:
-    rng = derive_rng(args.seed, "gen", args.kind)
-    out = Path(args.out)
-    if args.kind == "logistic":
-        shard, theta_star = gen_logistic(args.d, args.n, rng)
-        out.write_text(shard_to_csv(shard))
-        _write_theta(out.with_name(out.stem + "_theta.csv"), theta_star)
-        print(f"wrote {out} ({args.n} samples, d={args.d}) and its theta file")
-        return 0
-    shards, theta_star = gen_sparse_linear(args.d, args.n, args.k, args.s,
-                                           args.sigma, rng)
-    for j, shard in enumerate(shards, start=1):
-        shard_path = out.with_name(f"{out.stem}_shard{j:02d}{out.suffix or '.csv'}")
-        shard_path.write_text(shard_to_csv(shard))
-    _write_theta(out.with_name(out.stem + "_theta.csv"), theta_star)
-    print(f"wrote {args.k} shard files ({args.n} samples each, d={args.d}) "
-          f"and the theta file next to {out}")
-    return 0
 
 
 def _cmd_run(args) -> int:
@@ -107,18 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="csl",
         description="Distributed surrogate-likelihood estimation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    gen.add_argument("--kind", choices=["logistic", "sparse_linear"], required=True)
-    gen.add_argument("--d", type=int, required=True)
-    gen.add_argument("--n", type=int, required=True,
-                     help="total samples (logistic) or per-shard samples (sparse)")
-    gen.add_argument("--k", type=int, default=1, help="shards (sparse_linear)")
-    gen.add_argument("--s", type=int, default=10, help="nonzeros (sparse_linear)")
-    gen.add_argument("--sigma", type=float, default=1.0, help="noise sd (sparse_linear)")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(func=_cmd_gen)
 
     run = sub.add_parser("run", help="run an experiment sweep")
     run.add_argument("--preset", help="named preset (see README)")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .losses import DataShard, LossModel, ShardLoss
-from .solvers import FitRequest, SolverSettings, run_fit
+from .solvers import FitRequest, run_fit
 from .transport import WorkerClient, WorkerServer
 
 __all__ = ["CommLedger", "Cluster", "split_rows"]
@@ -191,7 +191,7 @@ class Cluster:
                               WorkerClient.recv_gradient)
         return self.average(locals_), locals_
 
-    def local_minimizer_round(self, request: FitRequest = SolverSettings()) -> list:
+    def local_minimizer_round(self, request: FitRequest) -> list:
         """Each worker's :func:`~csl.solvers.run_fit` of ``request`` on its own
         shard: Newton fits for SolverSettings, SparseEstimates for a LassoFit.
         k-1 reply vectors; remote fits run exactly as in-process ones do."""
@@ -204,10 +204,11 @@ class Cluster:
         a fresh array for vectors, a Python float for floats."""
         return functools.reduce(operator.add, values, 0.0) / self.k
 
-    def pooled_shard(self, meter: bool = True) -> DataShard:
+    def pooled_shard(self, meter: bool) -> DataShard:
         """All samples on one machine, in worker order, as a read-only view
-        when :func:`split_rows` cut the shards from one array. Moves (k-1)*n
-        raw samples when metered; vector counts are unaffected."""
+        when :func:`split_rows` cut the shards from one array. ``meter`` says
+        whether the ledger pays (k-1)*n moved raw samples (a pooling baseline)
+        or not (a diagnostic copy); vector counts are unaffected."""
         if meter and self.k > 1:
             self.ledger.samples_moved += (self.k - 1) * self.n_per_shard
         return DataShard(x=_stacked([s.x for s in self.shards]),

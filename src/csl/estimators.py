@@ -15,7 +15,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import CslError, DataError, SingularHessianError
-from .solvers import local_fit, newton_minimize
+from .solvers import SolverSettings, local_fit, newton_minimize
 from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
@@ -70,7 +70,7 @@ class IleaTrajectory:
         return len(self.iterates) - 1
 
 
-def ilea(cluster: Cluster, theta0: np.ndarray, rounds: int = 3) -> IleaTrajectory:
+def ilea(cluster: Cluster, theta0: np.ndarray, rounds: int) -> IleaTrajectory:
     """Iterate one-step refits from theta0: each round is one gradient round
     (2*(k-1) vectors) to build the surrogate, then :func:`one_step_update`,
     so the run costs exactly 2*rounds*(k-1) vectors.
@@ -95,9 +95,10 @@ def ilea(cluster: Cluster, theta0: np.ndarray, rounds: int = 3) -> IleaTrajector
 
 
 def averaging_estimator(cluster: Cluster) -> np.ndarray:
-    """Mean of the k local fits, folded in worker order; one local-minimizer
-    round on the ledger (k-1 vectors)."""
-    return cluster.average(cluster.local_minimizer_round())
+    """Mean of the k local Newton fits at the default :class:`SolverSettings`,
+    folded in worker order; one local-minimizer round on the ledger (k-1
+    vectors)."""
+    return cluster.average(cluster.local_minimizer_round(SolverSettings()))
 
 
 def subsample_estimator(cluster: Cluster) -> np.ndarray:

@@ -100,10 +100,10 @@ class ExperimentConfig:
             raise ConfigError("mcmc_iters and bins must be >= 2")
         if self.experiment.startswith("Lasso") and not (0 <= self.s <= self.d):
             raise ConfigError("s must be in [0, d]")
-        if self.sigma < 0.0:
-            raise ConfigError("sigma must be >= 0")
-        if self.lam_scale <= 0.0:
-            raise ConfigError("lam_scale must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ConfigError("sigma must be a finite value >= 0")
+        if not (math.isfinite(self.lam_scale) and self.lam_scale > 0.0):
+            raise ConfigError("lam_scale must be a finite positive value")
 
     @property
     def out_path(self) -> Path:
@@ -242,8 +242,8 @@ def _refit_on_support(shard, theta: np.ndarray) -> np.ndarray:
 def _lasso_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                  trial: int, emit) -> None:
     n, k = cluster.n_per_shard, cluster.k
-    # The generator's noise level is known here, so the penalty levels use it
-    # directly, as the estimators' documented defaults would estimate it.
+    # Every lasso names its penalty; the generator's noise level is known
+    # here, so the penalty levels take it directly rather than an estimate.
     sigma = config.sigma if config.sigma > 0.0 else 1e-3
     lam_local = lambda_heuristic(sigma, config.d, n)
     # The surrogate's penalty must stay above the anchor-driven contamination
@@ -454,11 +454,11 @@ def results_hash(path) -> str:
 def report(results_path, out_dir=None) -> tuple[list[dict], list[Path]]:
     """Summarize a results CSV: median and MAD per (sweep point, estimator,
     metric), written to summary.csv plus one tidy file per experiment/metric
-    pair for plotting.
+    pair for plotting. An output directory that cannot be made or written
+    raises DataError.
     """
     results_path = Path(results_path)
     out_dir = Path(out_dir) if out_dir is not None else results_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = _read_rows(results_path)
     groups: dict[tuple, list[float]] = {}
     for record in rows:
@@ -477,28 +477,23 @@ def report(results_path, out_dir=None) -> tuple[list[dict], list[Path]]:
         })
     summary.sort(key=lambda r: (r["experiment"], r["metric"], r["estimator"],
                                 int(r["d"]), int(r["n"]), int(r["k"])))
-    written: list[Path] = []
-    summary_path = out_dir / "summary.csv"
-    cols = ["experiment", "d", "n", "k", "estimator", "metric", "count",
-            "median", "mad"]
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in summary:
-            writer.writerow([row[c] for c in cols])
-    written.append(summary_path)
-    pairs = sorted({(r["experiment"], r["metric"]) for r in summary})
-    for experiment, metric in pairs:
-        tidy_path = out_dir / f"{experiment}_{metric}.csv"
-        with open(tidy_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d", "n", "k", "estimator", "count", "median", "mad"])
-            for row in summary:
-                if row["experiment"] == experiment and row["metric"] == metric:
-                    writer.writerow([row["d"], row["n"], row["k"], row["estimator"],
-                                     row["count"], row["median"], row["mad"]])
-        written.append(tidy_path)
-    return summary, written
+    summary_cols = ["experiment", "d", "n", "k", "estimator", "metric", "count",
+                    "median", "mad"]
+    tables = {"summary.csv": (summary_cols, summary)}
+    for experiment, metric in sorted({(r["experiment"], r["metric"]) for r in summary}):
+        tables[f"{experiment}_{metric}.csv"] = (
+            ["d", "n", "k", "estimator", "count", "median", "mad"],
+            [r for r in summary if r["experiment"] == experiment and r["metric"] == metric])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (cols, table) in tables.items():
+            with open(out_dir / name, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(cols)
+                writer.writerows([row[c] for c in cols] for row in table)
+    except OSError as exc:
+        raise DataError(f"cannot write report: {exc}")
+    return summary, [out_dir / name for name in tables]
 
 
 def desk_presets() -> dict[str, ExperimentConfig]:

@@ -229,7 +229,7 @@ class ShardLoss:
                           else (x.T @ excess) / n)
         return self._grad.copy()
 
-    def eval(self, theta: np.ndarray, order: int = 2) -> tuple:
+    def eval(self, theta: np.ndarray, order: int) -> tuple:
         """``(value,)``, ``(value, grad)`` or ``(value, grad, hessian)`` for
         order 0, 1 or 2; the gradient is ``(d,)`` and the Hessian ``(d, d)``."""
         if order not in (0, 1, 2):

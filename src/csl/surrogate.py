@@ -40,7 +40,7 @@ class SurrogateLoss:
     correction: np.ndarray
     pooled_grad_at_anchor: np.ndarray
 
-    def eval(self, theta: np.ndarray, order: int = 2) -> tuple:
+    def eval(self, theta: np.ndarray, order: int) -> tuple:
         """Value, gradient and Hessian of the surrogate at theta, up to
         ``order`` as in :meth:`ShardLoss.eval <csl.losses.ShardLoss.eval>`,
         from one pass over the host shard; an ``objective(theta, order)``.

@@ -112,7 +112,7 @@ def test_criterion_02_single_machine_reductions(capfd):
             prior = Prior.gaussian(mean=np.zeros(3), sd=np.full(3, 2.0))
             theta = derive_rng(seed, "accept-k1-theta").normal(size=3)
             lhs = surrogate_log_posterior(s, prior, theta, cluster.n_total)
-            rhs = full_log_posterior(cluster, prior, theta)
+            rhs = full_log_posterior(cluster, prior, theta, cluster.n_total)
             assert abs(lhs - rhs) < 1e-12
         assert time.perf_counter() - start < 30.0
 

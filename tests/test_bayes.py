@@ -57,7 +57,7 @@ class TestMetropolis:
         assert 0.9 < float(np.var(draws)) < 1.1
 
     def test_burn_in_defaults_to_half(self):
-        chain = metropolis(self.gaussian_target(), np.zeros(1), 1.0, 101)
+        chain = metropolis(self.gaussian_target(), np.zeros(1), 1.0, 101, seed=0)
         assert chain.burn_in == 50
         assert chain.post_burn_in.shape == (51, 1)
 
@@ -85,7 +85,7 @@ class TestMetropolis:
         def fenced(theta):
             return -math.inf
         with pytest.raises(DataError):
-            metropolis(fenced, np.zeros(1), 1.0, 100)
+            metropolis(fenced, np.zeros(1), 1.0, 100, seed=0)
 
     @pytest.mark.parametrize("width,scale,regime", [(1e3, 0.1, "accepts"),
                                                     (1.0, 20.0, "rejects")])
@@ -119,13 +119,13 @@ class TestMetropolis:
         def target(theta):
             raise AssertionError("target evaluated for an empty chain")
         with pytest.raises(DataError, match="iters must be >= 1"):
-            metropolis(target, np.zeros(1), 1.0, iters)
-        chain = metropolis(self.gaussian_target(), np.zeros(1), 1.0, 1)
+            metropolis(target, np.zeros(1), 1.0, iters, seed=0)
+        chain = metropolis(self.gaussian_target(), np.zeros(1), 1.0, 1, seed=0)
         assert chain.samples.shape == (1, 1)
 
     def test_settings_validation(self):
         with pytest.raises(DataError):
-            McmcSettings(iters=1)
+            McmcSettings(iters=1, seed=0)
 
 
 def logistic_cluster(d=2, k=4, n=64, seed=71):
@@ -139,7 +139,7 @@ class TestPosteriors:
         prior = Prior.gaussian(mean=[0.0, 0.0], sd=[3.0, 3.0])
         s = build_surrogate(cluster, np.zeros(2))
         for theta in (np.zeros(2), np.array([0.4, -0.2]), np.array([-1.0, 2.0])):
-            full = full_log_posterior(cluster, prior, theta)
+            full = full_log_posterior(cluster, prior, theta, cluster.n_total)
             surr = surrogate_log_posterior(s, prior, theta, cluster.n_total)
             assert surr == pytest.approx(full, abs=1e-12)
 
@@ -149,7 +149,7 @@ class TestPosteriors:
         s = build_surrogate(cluster, np.zeros(2))
         outside = np.array([5.0, 5.0])
         assert surrogate_log_posterior(s, prior, outside, cluster.n_total) == -math.inf
-        assert full_log_posterior(cluster, prior, outside) == -math.inf
+        assert full_log_posterior(cluster, prior, outside, cluster.n_total) == -math.inf
 
     def test_full_posterior_uses_pooled_loss(self):
         cluster, _ = logistic_cluster(k=4)
@@ -158,7 +158,7 @@ class TestPosteriors:
         from csl.losses import ShardLoss
         pooled = cluster.pooled_shard(meter=False)
         want = -cluster.n_total * ShardLoss(cluster.model, pooled).eval(theta, 0)[0]
-        assert full_log_posterior(cluster, prior, theta) == pytest.approx(
+        assert full_log_posterior(cluster, prior, theta, cluster.n_total) == pytest.approx(
             want, rel=1e-12)
 
 
@@ -187,31 +187,31 @@ class TestMarginalDistance:
         draws = rng.normal(size=(5000, 1))
         chain = Chain(samples=draws, accepted=np.ones(5000, dtype=bool),
                       proposal_scale=1.0, burn_in=0)
-        assert marginal_l1(chain, chain) == 0.0
+        assert marginal_l1(chain, chain, coordinate=0, bins=60) == 0.0
 
     def test_disjoint_supports_are_two(self):
         a = np.full((1000, 1), -50.0) + np.linspace(0, 1, 1000)[:, None]
         b = np.full((1000, 1), 50.0) + np.linspace(0, 1, 1000)[:, None]
-        assert marginal_l1(a, b) == pytest.approx(2.0)
+        assert marginal_l1(a, b, coordinate=0, bins=60) == pytest.approx(2.0)
 
     def test_two_samplers_of_the_same_law_score_small(self):
         rng = derive_rng(1, "l1-iid")
         a = rng.normal(size=(100_000, 1))
         b = rng.normal(size=(100_000, 1))
-        assert marginal_l1(a, b, bins=50) < 0.1
+        assert marginal_l1(a, b, coordinate=0, bins=50) < 0.1
 
     def test_bounded_by_two_and_nonnegative(self):
         rng = derive_rng(2, "l1-bounds")
         a = rng.normal(size=(500, 2))
         b = rng.normal(loc=3.0, size=(500, 2))
         for coord in (0, 1):
-            score = marginal_l1(a, b, coordinate=coord)
+            score = marginal_l1(a, b, coordinate=coord, bins=60)
             assert 0.0 <= score <= 2.0
 
     def test_degenerate_point_masses_compare_clean(self):
         a = np.zeros((100, 1))
         b = np.zeros((100, 1))
-        assert marginal_l1(a, b) == 0.0
+        assert marginal_l1(a, b, coordinate=0, bins=60) == 0.0
         c = np.ones((100, 1))
-        assert marginal_l1(a, c) == pytest.approx(2.0)
+        assert marginal_l1(a, c, coordinate=0, bins=60) == pytest.approx(2.0)
 

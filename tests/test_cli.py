@@ -26,49 +26,6 @@ def built(monkeypatch):
     return configs
 
 
-class TestGen:
-    def test_logistic_writes_data_and_theta(self, tmp_path, capsys):
-        out = tmp_path / "demo.csv"
-        code = run_cli("gen", "--kind", "logistic", "--d", "3", "--n", "20",
-                       "--seed", "4", "--out", str(out))
-        assert code == 0
-        assert out.exists()
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["y", "x_1", "x_2", "x_3"]
-        assert len(rows) == 21
-        theta_file = tmp_path / "demo_theta.csv"
-        lines = theta_file.read_text().strip().split("\n")
-        assert lines[0] == "coordinate,value"
-        assert len(lines) == 4
-        assert "wrote" in capsys.readouterr().out
-
-    def test_gen_is_deterministic(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        for out in (a, b):
-            run_cli("gen", "--kind", "logistic", "--d", "2", "--n", "15",
-                    "--seed", "7", "--out", str(out))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_sparse_linear_writes_numbered_shards(self, tmp_path):
-        out = tmp_path / "sparse.csv"
-        code = run_cli("gen", "--kind", "sparse_linear", "--d", "6", "--n",
-                       "10", "--k", "3", "--s", "2", "--seed", "1",
-                       "--out", str(out))
-        assert code == 0
-        names = sorted(p.name for p in tmp_path.glob("sparse_shard*.csv"))
-        assert names == ["sparse_shard01.csv", "sparse_shard02.csv",
-                         "sparse_shard03.csv"]
-        assert (tmp_path / "sparse_theta.csv").exists()
-
-    def test_bad_geometry_exits_two(self, tmp_path, capsys):
-        code = run_cli("gen", "--kind", "sparse_linear", "--d", "3", "--n",
-                       "10", "--s", "5", "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert "error" in capsys.readouterr().err.lower()
-
-
 class TestRun:
     def test_overrides_on_top_of_preset(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -144,6 +101,18 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["sigma=nan", "sigma=inf", "lam_scale=inf",
+                                         "lam_scale=nan"])
+    def test_non_finite_noise_or_penalty_scale_exits_two_before_any_file(
+            self, setting, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = run_cli("run", "--out", str(out), "experiment=LassoFixedn", "d=20",
+                       "n=40", "k=2", "trials=2", setting)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting.split("=")[0] in err
+        assert not out.exists()
+
     def test_flagged_trials_exit_three(self, tmp_path, monkeypatch, capsys):
         import csl.experiments as experiments
         from csl.errors import CslError
@@ -197,3 +166,14 @@ class TestReport:
 
     def test_missing_results_file_exits_two(self, tmp_path):
         assert run_cli("report", str(tmp_path / "absent.csv")) == 2
+
+    def test_out_dir_under_a_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        run_cli("run", "--preset", "sweep_k_desk", "--out", str(out),
+                "trials=1", "k=2", "n=32", "d=2")
+        (tmp_path / "afile").write_text("")
+        capsys.readouterr()
+        assert run_cli("report", str(out), "--out-dir", str(tmp_path / "afile" / "rep")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""

@@ -59,13 +59,13 @@ class TestLedger:
     def test_k1_rounds_leave_ledger_untouched(self):
         cluster = make_cluster(1)
         cluster.gradient_round(np.zeros(3))
-        cluster.local_minimizer_round()
+        cluster.local_minimizer_round(SolverSettings())
         cluster.gradient_round(np.zeros(3))
         assert cluster.ledger == CommLedger(0, 0, 0)
 
     def test_local_minimizer_round_costs_kminus1(self):
         cluster = make_cluster(4)
-        cluster.local_minimizer_round()
+        cluster.local_minimizer_round(SolverSettings())
         assert cluster.ledger.vectors_sent == 3
         assert cluster.ledger.rounds == 1
 
@@ -86,7 +86,7 @@ class TestLedger:
 
     def test_pooling_moves_samples_not_vectors(self):
         cluster = make_cluster(4, n=32)
-        pooled = cluster.pooled_shard()
+        pooled = cluster.pooled_shard(meter=True)
         assert pooled.n_samples == 128
         assert cluster.ledger.samples_moved == 3 * 32
         assert cluster.ledger.vectors_sent == 0
@@ -96,7 +96,7 @@ class TestLedger:
     @staticmethod
     def _pool(shards, k):
         cluster = Cluster(LossModel.linear(), shards)
-        pooled = cluster.pooled_shard()
+        pooled = cluster.pooled_shard(meter=True)
         assert cluster.ledger == CommLedger(0, 0, (k - 1) * shards[0].n_samples)
         x = np.concatenate([s.x for s in shards])
         y = np.concatenate([s.y for s in shards])

@@ -61,7 +61,7 @@ class TestSurrogateGeometry:
         cluster = logistic_cluster(seed=13)
         s = build_surrogate(cluster, np.zeros(cluster.d))
         theta = np.array([0.1, 0.2, 0.3, -0.4])
-        _, _, hess = s.eval(theta)
+        _, _, hess = s.eval(theta, 2)
         np.testing.assert_array_equal(
             hess, ShardLoss(cluster.model, cluster.shards[0]).eval(theta, 2)[2])
 

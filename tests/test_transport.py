@@ -368,8 +368,8 @@ class TestTcpCluster:
             np.testing.assert_array_equal(g_tcp, g_plain)
             for a, b in zip(locals_tcp, locals_plain):
                 np.testing.assert_array_equal(a, b)
-            fits_tcp = over_tcp.local_minimizer_round()
-            fits_plain = plain.local_minimizer_round()
+            fits_tcp = over_tcp.local_minimizer_round(SolverSettings())
+            fits_plain = plain.local_minimizer_round(SolverSettings())
             for a, b in zip(fits_tcp, fits_plain):
                 np.testing.assert_array_equal(a, b)
             assert over_tcp.ledger == plain.ledger
@@ -379,7 +379,7 @@ class TestTcpCluster:
         pooled, _ = gen_logistic(3, 40 * 3, 6)
         with Cluster.from_pooled(LossModel.logistic(), pooled.x, pooled.y, 3,
                                  transport=transport) as cluster:
-            fits = cluster.local_minimizer_round()
+            fits = cluster.local_minimizer_round(SolverSettings())
             assert subsample_estimator(cluster).tobytes() == fits[0].tobytes()
 
     def test_solver_settings_travel_in_full(self):
@@ -520,7 +520,7 @@ def test_socket_vector_bytes_match_the_ledger(monkeypatch):
         # None for a vector request, status bytes per reply)
         rounds = [(lambda: cluster.gradient_round(np.zeros(d)),
                    OP_EVAL_GRAD, OP_GRAD_REPLY, None, 0),
-                  (lambda: cluster.local_minimizer_round(),
+                  (lambda: cluster.local_minimizer_round(SolverSettings()),
                    OP_LOCAL_MIN_REQ, OP_LOCAL_MIN_REPLY, transport._SETTINGS.size, 0),
                   (lambda: cluster.local_minimizer_round(LassoFit(0.01)),
                    OP_LASSO_REQ, OP_LASSO_REPLY, transport._LASSO.size,
@@ -693,7 +693,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("reply_floats", [1.5, 4], ids=["12-bytes", "d+1-floats"])
     @pytest.mark.parametrize("round_, opcode", [
         (lambda cluster: cluster.gradient_round(np.zeros(3)), OP_GRAD_REPLY),
-        (lambda cluster: cluster.local_minimizer_round(), OP_LOCAL_MIN_REPLY),
+        (lambda cluster: cluster.local_minimizer_round(SolverSettings()), OP_LOCAL_MIN_REPLY),
         (lambda cluster: cluster.local_minimizer_round(LassoFit(0.1)), OP_LASSO_REPLY),
     ], ids=["gradient", "local-min", "lasso"])
     def test_malformed_reply_names_its_worker(self, round_, opcode, reply_floats):

@@ -22,7 +22,7 @@ from .inference import (ConfidenceIntervals, confidence_intervals, normal_quanti
 from .losses import DataShard, LossModel, ShardLoss, shard_to_csv
 from .solvers import (L1Settings, LassoFit, SolverSettings, SparseEstimate, fista_l1,
                       lambda_heuristic, local_fit, newton_minimize, run_fit, soft_threshold)
-from .sparse import averaging_lasso, csl_lasso, iterative_csl_lasso, local_lasso
+from .sparse import averaging_lasso, csl_lasso, local_lasso
 from .surrogate import SurrogateLoss, build_surrogate
 
 __version__ = "0.1.0"

@@ -32,8 +32,8 @@ _INIT_ROUNDS = 3
 
 @dataclass(frozen=True)
 class Prior:
-    """Log prior density: exact (normalized for the proper priors), -inf
-    outside the box prior's support. Use the constructors."""
+    """Log prior density, normalized for the proper prior. Use the
+    constructors."""
 
     log_density: Callable[[np.ndarray], float]
 
@@ -44,30 +44,21 @@ class Prior:
 
     @classmethod
     def gaussian(cls, mean, sd) -> "Prior":
+        """Independent normal prior; scores only a theta of mean's shape."""
         mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
         sd = np.atleast_1d(np.asarray(sd, dtype=np.float64))
-        if sd.shape != mean.shape or np.any(sd <= 0.0):
-            raise DataError("gaussian prior needs positive sd matching mean's shape")
+        if (mean.ndim != 1 or sd.shape != mean.shape or not np.all(np.isfinite(mean))
+                or not np.all(np.isfinite(sd)) or np.any(sd <= 0.0)):
+            raise DataError("gaussian prior needs a finite mean vector and a finite, "
+                            "positive sd of its shape")
 
         def log_density(theta):
             theta = np.asarray(theta, dtype=np.float64)
+            if theta.shape != mean.shape:
+                raise DataError(f"theta shape {theta.shape} != prior shape {mean.shape}")
             z = (theta - mean) / sd
             return float(-0.5 * z @ z - np.log(sd).sum()
                          - 0.5 * theta.size * math.log(2.0 * math.pi))
-        return cls(log_density)
-
-    @classmethod
-    def uniform_box(cls, lower, upper) -> "Prior":
-        lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
-        upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
-        if upper.shape != lower.shape or np.any(upper <= lower):
-            raise DataError("uniform box needs upper > lower elementwise")
-
-        def log_density(theta):
-            theta = np.asarray(theta, dtype=np.float64)
-            if np.all((lower <= theta) & (theta <= upper)):
-                return float(-np.log(upper - lower).sum())
-            return -math.inf
         return cls(log_density)
 
 
@@ -145,10 +136,7 @@ def metropolis(log_target: Callable[[np.ndarray], float], theta0: np.ndarray,
 def surrogate_log_posterior(s: SurrogateLoss, prior: Prior, theta: np.ndarray,
                             n_total: int) -> float:
     """log density (up to a constant): -n_total * surrogate(theta) + log prior."""
-    logp = prior.log_density(theta)
-    if logp == -math.inf:
-        return -math.inf
-    return -float(n_total) * s.eval(theta, 0)[0] + logp
+    return -float(n_total) * s.eval(theta, 0)[0] + prior.log_density(theta)
 
 
 def full_log_posterior(cluster: Cluster, prior: Prior, theta: np.ndarray,
@@ -159,21 +147,17 @@ def full_log_posterior(cluster: Cluster, prior: Prior, theta: np.ndarray,
     use it for validation, not inside the protocol. ``n_total`` is the
     sample count the posterior stands for, usually ``cluster.n_total``.
     """
-    logp = prior.log_density(theta)
-    if logp == -math.inf:
-        return -math.inf
-    mean_loss = cluster.average([loss.eval(theta, 0)[0] for loss in cluster.losses])
-    return -float(n_total) * mean_loss + logp
+    return (-float(n_total) * cluster.average([loss.eval(theta, 0)[0] for loss in cluster.losses])
+            + prior.log_density(theta))
 
 
 @dataclass
 class CslBayesResult:
-    """A surrogate chain, its anchor and surrogate; what it cost is on the
-    cluster's ledger."""
+    """A surrogate chain and its anchor; what it cost is on the cluster's
+    ledger."""
 
     chain: Chain
     anchor: np.ndarray
-    surrogate: SurrogateLoss
 
 
 def run_csl_bayes(cluster: Cluster, prior: Prior, mcmc: McmcSettings) -> CslBayesResult:
@@ -200,33 +184,24 @@ def run_csl_bayes(cluster: Cluster, prior: Prior, mcmc: McmcSettings) -> CslBaye
         return surrogate_log_posterior(surr, prior, theta, n_total)
 
     chain = metropolis(log_target, anchor, scale, mcmc.iters, seed=mcmc.seed)
-    return CslBayesResult(chain=chain, anchor=anchor, surrogate=surr)
+    return CslBayesResult(chain=chain, anchor=anchor)
 
 
-def _coordinate_samples(chain, coordinate: int) -> np.ndarray:
-    if isinstance(chain, Chain):
-        data = chain.post_burn_in
-    else:
-        data = np.asarray(chain, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
-    if not (0 <= coordinate < data.shape[1]):
-        raise DataError(f"coordinate {coordinate} out of range for d={data.shape[1]}")
-    return data[:, coordinate]
-
-
-def marginal_l1(chain_a, chain_b, coordinate: int, bins: int) -> float:
-    """L1 distance in [0, 2] between two sampled marginals of ``coordinate``.
+def marginal_l1(chain_a: Chain, chain_b: Chain, coordinate: int, bins: int) -> float:
+    """L1 distance in [0, 2] between two chains' post-burn-in marginals of
+    ``coordinate``.
 
     Both samples are binned into ``bins`` equal bins on the shared range
     spanned by the pooled 0.5 and 99.5 percentiles; each histogram is
-    normalized over that range. Chains are compared post burn-in; raw arrays
-    are used as given.
+    normalized over that range.
     """
     if bins < 2:
         raise DataError("bins must be >= 2")
-    xa = _coordinate_samples(chain_a, coordinate)
-    xb = _coordinate_samples(chain_b, coordinate)
+    xa, xb = chain_a.post_burn_in, chain_b.post_burn_in
+    for data in (xa, xb):
+        if data.ndim != 2 or not (0 <= coordinate < data.shape[1]):
+            raise DataError(f"coordinate {coordinate} out of range for samples {data.shape}")
+    xa, xb = xa[:, coordinate], xb[:, coordinate]
     if xa.size == 0 or xb.size == 0:
         raise DataError("cannot compare empty sample sets")
     pooled = np.concatenate([xa, xb])

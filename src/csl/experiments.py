@@ -42,17 +42,6 @@ __all__ = [
     "paper_presets",
 ]
 
-# The two lasso names differ only in the final letter's case, so aliasing is
-# exact-match plus these unambiguous longhands.
-_ALIASES = {
-    "mestsweepn": "MestSweepN",
-    "mestsweepk": "MestSweepK",
-    "coverage": "Coverage",
-    "bayes": "Bayes",
-    "lasso_fixed_total": "LassoFixedN",
-    "lasso_fixed_shard": "LassoFixedn",
-}
-
 RESULTS_HEADER = ("experiment", "d", "n", "k", "trial", "estimator", "metric", "value")
 RUNTIME_METRICS = frozenset({"runtime_s"})
 
@@ -79,11 +68,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            canonical = _ALIASES.get(self.experiment.lower())
-            if canonical is None:
-                raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                                  f"valid: {', '.join(EXPERIMENTS)}")
-            object.__setattr__(self, "experiment", canonical)
+            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+                              f"valid: {', '.join(EXPERIMENTS)}")
         if self.d < 1 or self.trials < 1 or self.rounds < 1:
             raise ConfigError("d, trials and rounds must be >= 1")
         if self.seed < 0:
@@ -428,11 +414,13 @@ def _read_rows(path) -> list[dict[str, str]]:
                 raise ConfigError(f"{path} line {lineno}: expected "
                                   f"{len(RESULTS_HEADER)} fields, got {len(row)}")
             record = dict(zip(RESULTS_HEADER, row))
-            try:
-                value = float(record["value"])
-            except ValueError:
-                raise ConfigError(f"{path} line {lineno}: bad value {record['value']!r}")
-            if not math.isfinite(value):
+            for col, parse in (("d", int), ("n", int), ("k", int), ("trial", int),
+                               ("value", float)):
+                try:
+                    parse(record[col])
+                except ValueError:
+                    raise ConfigError(f"{path} line {lineno}: bad {col} {record[col]!r}")
+            if not math.isfinite(float(record["value"])):
                 raise ConfigError(f"{path} line {lineno}: non-finite value")
             rows.append(record)
         return rows

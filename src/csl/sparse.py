@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .cluster import Cluster
-from .errors import DataError
 from .losses import DataShard, LossModel, ShardLoss
 from .solvers import _SNAP, L1Settings, LassoFit, SparseEstimate, _working_set_lasso, run_fit
 # perfbench traces the FISTA kernel by the name ``csl.sparse.fista_l1``.
 from .solvers import fista_l1  # noqa: F401
 from .surrogate import build_surrogate
 
-__all__ = ["local_lasso", "csl_lasso", "iterative_csl_lasso", "averaging_lasso"]
+__all__ = ["local_lasso", "csl_lasso", "averaging_lasso"]
 
 
 def local_lasso(model: LossModel, shard: DataShard, lam: float,
@@ -40,22 +39,6 @@ def csl_lasso(cluster: Cluster, anchor: np.ndarray, lam: float,
     anchor = np.asarray(anchor, dtype=np.float64)
     surr = build_surrogate(cluster, anchor)
     return _working_set_lasso(surr, lam, anchor, settings)
-
-
-def iterative_csl_lasso(cluster: Cluster, theta0: np.ndarray, rounds: int, lam: float,
-                        settings: L1Settings = L1Settings()) -> list[SparseEstimate]:
-    """Re-anchor the surrogate lasso on its own output for a fixed number of
-    rounds, starting at theta0; each round costs one gradient round at the
-    one penalty lam."""
-    if rounds < 1:
-        raise DataError("rounds must be >= 1")
-    anchor = theta0
-    estimates: list[SparseEstimate] = []
-    for _ in range(rounds):
-        estimate = csl_lasso(cluster, anchor=anchor, lam=lam, settings=settings)
-        estimates.append(estimate)
-        anchor = estimate.theta
-    return estimates
 
 
 def averaging_lasso(cluster: Cluster, lam: float,

@@ -25,13 +25,15 @@ class TestPrior:
                    for t, m, s in [(0.0, 1.0, 2.0), (0.0, -1.0, 0.5)])
         assert prior.log_density(theta) == pytest.approx(want, rel=1e-12)
 
-    def test_box_is_flat_inside_fence_outside(self):
-        prior = Prior.uniform_box(lower=[-1.0, 0.0], upper=[1.0, 2.0])
-        inside = prior.log_density(np.array([0.5, 1.0]))
-        assert math.isfinite(inside)
-        assert prior.log_density(np.array([1.5, 1.0])) == -math.inf
-        # normalized: log(1/area) with area 2*2
-        assert inside == pytest.approx(-math.log(4.0))
+    def test_gaussian_rejects_what_it_cannot_score(self):
+        for mean, sd in [(0.0, float("nan")), (float("inf"), 1.0), ([0.0, 0.0], [1.0, 0.0]),
+                         ([0.0, 0.0], [1.0]), (np.zeros((2, 2)), np.ones((2, 2)))]:
+            with pytest.raises(DataError):
+                Prior.gaussian(mean, sd)
+        # a one-coordinate prior would count log(sd) once for a two-coordinate theta
+        for theta in (np.zeros(2), np.zeros((1, 1))):
+            with pytest.raises(DataError, match="shape"):
+                Prior.gaussian(0.0, 2.0).log_density(theta)
 
 
 class TestMetropolis:
@@ -143,14 +145,6 @@ class TestPosteriors:
             surr = surrogate_log_posterior(s, prior, theta, cluster.n_total)
             assert surr == pytest.approx(full, abs=1e-12)
 
-    def test_prior_fence_short_circuits(self):
-        cluster, _ = logistic_cluster()
-        prior = Prior.uniform_box(lower=[-0.1, -0.1], upper=[0.1, 0.1])
-        s = build_surrogate(cluster, np.zeros(2))
-        outside = np.array([5.0, 5.0])
-        assert surrogate_log_posterior(s, prior, outside, cluster.n_total) == -math.inf
-        assert full_log_posterior(cluster, prior, outside, cluster.n_total) == -math.inf
-
     def test_full_posterior_uses_pooled_loss(self):
         cluster, _ = logistic_cluster(k=4)
         prior = Prior.flat()
@@ -181,37 +175,45 @@ class TestRunCslBayes:
         assert float(np.linalg.norm(center - optimum)) < 0.2
 
 
+def as_chain(draws):
+    return Chain(samples=draws, accepted=np.ones(len(draws), dtype=bool),
+                 proposal_scale=1.0, burn_in=0)
+
+
 class TestMarginalDistance:
     def test_identical_chains_are_zero(self):
         rng = derive_rng(0, "l1-self")
-        draws = rng.normal(size=(5000, 1))
-        chain = Chain(samples=draws, accepted=np.ones(5000, dtype=bool),
-                      proposal_scale=1.0, burn_in=0)
+        chain = as_chain(rng.normal(size=(5000, 1)))
         assert marginal_l1(chain, chain, coordinate=0, bins=60) == 0.0
 
     def test_disjoint_supports_are_two(self):
-        a = np.full((1000, 1), -50.0) + np.linspace(0, 1, 1000)[:, None]
-        b = np.full((1000, 1), 50.0) + np.linspace(0, 1, 1000)[:, None]
+        a = as_chain(np.full((1000, 1), -50.0) + np.linspace(0, 1, 1000)[:, None])
+        b = as_chain(np.full((1000, 1), 50.0) + np.linspace(0, 1, 1000)[:, None])
         assert marginal_l1(a, b, coordinate=0, bins=60) == pytest.approx(2.0)
 
     def test_two_samplers_of_the_same_law_score_small(self):
         rng = derive_rng(1, "l1-iid")
-        a = rng.normal(size=(100_000, 1))
-        b = rng.normal(size=(100_000, 1))
+        a = as_chain(rng.normal(size=(100_000, 1)))
+        b = as_chain(rng.normal(size=(100_000, 1)))
         assert marginal_l1(a, b, coordinate=0, bins=50) < 0.1
 
     def test_bounded_by_two_and_nonnegative(self):
         rng = derive_rng(2, "l1-bounds")
-        a = rng.normal(size=(500, 2))
-        b = rng.normal(loc=3.0, size=(500, 2))
+        a = as_chain(rng.normal(size=(500, 2)))
+        b = as_chain(rng.normal(loc=3.0, size=(500, 2)))
         for coord in (0, 1):
             score = marginal_l1(a, b, coordinate=coord, bins=60)
             assert 0.0 <= score <= 2.0
 
     def test_degenerate_point_masses_compare_clean(self):
-        a = np.zeros((100, 1))
-        b = np.zeros((100, 1))
+        a = as_chain(np.zeros((100, 1)))
+        b = as_chain(np.zeros((100, 1)))
         assert marginal_l1(a, b, coordinate=0, bins=60) == 0.0
-        c = np.ones((100, 1))
+        c = as_chain(np.ones((100, 1)))
         assert marginal_l1(a, c, coordinate=0, bins=60) == pytest.approx(2.0)
 
+    def test_coordinate_out_of_range_rejected(self):
+        a = as_chain(np.zeros((100, 2)))
+        for b in (as_chain(np.zeros((100, 1))), as_chain(np.zeros(100))):
+            with pytest.raises(DataError, match="out of range"):
+                marginal_l1(a, b, coordinate=1, bins=60)

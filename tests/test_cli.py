@@ -167,6 +167,15 @@ class TestReport:
     def test_missing_results_file_exits_two(self, tmp_path):
         assert run_cli("report", str(tmp_path / "absent.csv")) == 2
 
+    def test_non_integer_count_column_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "r.csv"
+        bad.write_text("experiment,d,n,k,trial,estimator,metric,value\n"
+                       "Bayes,x,64,16,1,csl,sq_error,0.5\n")
+        assert run_cli("report", str(bad), "--out-dir", str(tmp_path / "rep")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "line 2: bad d 'x'" in captured.err
+        assert not (tmp_path / "rep").exists()
+
     def test_out_dir_under_a_file_exits_two(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         run_cli("run", "--preset", "sweep_k_desk", "--out", str(out),

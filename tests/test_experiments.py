@@ -64,20 +64,9 @@ class TestConfigParsing:
             config_from_mapping(as_mapping(experiment="Bayes", d=2, unknowable=1))
 
     def test_unknown_experiment_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping(as_mapping(experiment="Sweepy", d=2))
-
-    def test_longhand_aliases(self):
-        total = config_from_mapping(as_mapping(experiment="lasso_fixed_total", d=8,
-                                         s=2, n_total=80, k=[2]))
-        shard = config_from_mapping(as_mapping(experiment="lasso_fixed_shard", d=8,
-                                         s=2, n=[40], k=[2]))
-        assert total.experiment == "LassoFixedN"
-        assert shard.experiment == "LassoFixedn"
-
-    def test_case_insensitive_for_unambiguous_names(self):
-        config = config_from_mapping(as_mapping(experiment="coverage", d=2, n=[64]))
-        assert config.experiment == "Coverage"
+        for name in ("Sweepy", "coverage", "lasso_fixed_total"):
+            with pytest.raises(ConfigError, match="valid: MestSweepN"):
+                config_from_mapping(as_mapping(experiment=name, d=2))
 
     def test_n_is_needed_only_where_the_sweep_reads_it(self, tmp_path):
         total = config_from_mapping(as_mapping(experiment="LassoFixedN", d=8, s=2,
@@ -335,6 +324,12 @@ class TestHashAndReport:
         bad.write_text("experiment,d,n\nMestSweepK,3,64\n")
         with pytest.raises(ConfigError):
             report(bad, out_dir=tmp_path)
+        header = ",".join(RESULTS_HEADER)
+        for col, row in [("d", "Bayes,x,64,16,1,csl,sq_error,0.5"),
+                         ("trial", "Bayes,2,64,16,1.5,csl,sq_error,0.5")]:
+            bad.write_text(f"{header}\nBayes,2,64,16,1,csl,sq_error,0.5\n{row}\n")
+            with pytest.raises(ConfigError, match=f"line 3: bad {col}"):
+                report(bad, out_dir=tmp_path)
 
 
 class TestPresets:

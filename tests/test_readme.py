@@ -1,9 +1,9 @@
-"""The README's library example runs as written."""
+"""The library example in README.md, and in its copy in PAPER.md, runs as written."""
 
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _section(text, heading):
@@ -12,13 +12,21 @@ def _section(text, heading):
     return text[start:] if end < 0 else text[start:end]
 
 
-def test_library_in_one_screen_runs_in_order():
-    section = _section(README.read_text(), "Library in one screen")
+def _run_library_example(path, n_blocks):
+    section = _section(path.read_text(), "Library in one screen")
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
-    assert len(blocks) == 2
+    assert len(blocks) == n_blocks
     namespace = {}
     for block in blocks:
-        exec(compile(block, str(README), "exec"), namespace)
+        exec(compile(block, str(path), "exec"), namespace)
     cluster = namespace["cluster"]
     # two refit rounds and the interval's surrogate, each one gradient round
     assert cluster.ledger.vectors_sent == 3 * 2 * (cluster.k - 1)
+
+
+def test_library_in_one_screen_runs_in_order():
+    _run_library_example(ROOT / "README.md", n_blocks=2)
+
+
+def test_paper_copy_of_the_library_example_runs():
+    _run_library_example(ROOT / "PAPER.md", n_blocks=1)

@@ -10,7 +10,7 @@ from csl.errors import DataError, NonConvergenceError
 from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import (L1Settings, _stationarity_ok, _working_set_lasso, fista_l1,
                          lambda_heuristic, soft_threshold)
-from csl.sparse import averaging_lasso, csl_lasso, iterative_csl_lasso, local_lasso
+from csl.sparse import averaging_lasso, csl_lasso, local_lasso
 from csl.surrogate import build_surrogate
 
 from conftest import enumerate_lasso_d3
@@ -230,14 +230,7 @@ class TestCslLasso:
 
 
 class TestIterativeCslLasso:
-    def test_round_count_and_ledger(self):
-        cluster, _ = sparse_cluster(k=4)
-        start = local_lasso(cluster.model, cluster.shards[0],
-                            lambda_heuristic(0.5, cluster.d, 200)).theta
-        fits = iterative_csl_lasso(cluster, start, rounds=3, lam=0.2)
-        assert len(fits) == 3
-        assert cluster.ledger.rounds == 3
-        assert cluster.ledger.vectors_sent == 3 * 2 * 3
+    """csl_lasso re-anchored at its own fit, round after round."""
 
     def test_contracts_to_the_pooled_solution(self):
         # with a fixed penalty the re-anchoring fixed point satisfies the
@@ -250,7 +243,11 @@ class TestIterativeCslLasso:
         tight = L1Settings(tol=1e-12)
         start = local_lasso(cluster.model, cluster.shards[0],
                             lambda_heuristic(0.5, cluster.d, 200), tight).theta
-        fits = iterative_csl_lasso(cluster, start, rounds=4, lam=lam, settings=tight)
+        fits = []
+        for _ in range(4):
+            fits.append(csl_lasso(cluster, anchor=start, lam=lam, settings=tight))
+            start = fits[-1].theta
+        assert cluster.ledger.vectors_sent == 4 * 2 * (cluster.k - 1)
         dists = [float(np.linalg.norm(f.theta - pooled.theta)) for f in fits]
         assert all(b < a for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-4

@@ -1,10 +1,10 @@
 """Experiment orchestration: synthetic sweeps, results CSV, summaries.
 
 Each experiment loops over sweep points and trials. One design table names
-each experiment's trial body and the axis it sweeps under a fixed
-``n_total``. A shared prologue generates fresh data per trial from a derived
-RNG stream, builds the cluster and times the body, which emits tidy rows
-``experiment,d,n,k,trial,estimator,metric,value``. A trial's rows are
+each experiment's trial body and the sweep settings it reads; the rest of the
+design is fixed, as in the paper. A shared prologue generates fresh data per
+trial from a derived RNG stream, builds the cluster and times the body, which
+emits tidy rows ``experiment,d,n,k,trial,estimator,metric,value``. A trial's rows are
 buffered and written only once it succeeds; a trial that raises a
 ``CslError`` leaves only its ``error_flag`` row, and the run continues.
 Trials run sequentially, so a config plus a seed pins the output bytes;
@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import re
 import statistics
 import time
 from dataclasses import dataclass
@@ -44,6 +45,10 @@ __all__ = [
 
 RESULTS_HEADER = ("experiment", "d", "n", "k", "trial", "estimator", "metric", "value")
 RUNTIME_METRICS = frozenset({"runtime_s"})
+# Refit rounds per trial, and the sparse linear design: support size, noise
+# level and the surrogate penalty's scale on the pooled-n heuristic.
+_ROUNDS = 3
+_SPARSITY, _NOISE_SD, _LAM_SCALE = 10, 1.0, 3.0
 
 
 @dataclass(frozen=True)
@@ -56,22 +61,18 @@ class ExperimentConfig:
     trials: int = 10
     seed: int = 0
     out: str | None = None
-    level: float = 0.95
-    rounds: int = 3
     mcmc_iters: int = 20000
-    # Sturges' rule at the default chain length (1e4 kept draws); a finer
-    # histogram only raises the floor of the two-chain distance estimate.
-    bins: int = 15
-    s: int = 10
-    sigma: float = 1.0
-    lam_scale: float = 2.0
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"valid: {', '.join(EXPERIMENTS)}")
-        if self.d < 1 or self.trials < 1 or self.rounds < 1:
-            raise ConfigError("d, trials and rounds must be >= 1")
+        unread = sorted(key for key in _SWEEP_KEYS - set(_DESIGNS[self.experiment][1])
+                        if getattr(self, _FIELDS[key][0].name) != _FIELDS[key][0].default)
+        if unread:
+            raise ConfigError(f"{self.experiment} does not read {', '.join(unread)}")
+        if self.d < 1 or self.trials < 1:
+            raise ConfigError("d and trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if any(n < 1 for n in self.n_values):
@@ -80,16 +81,11 @@ class ExperimentConfig:
             raise ConfigError("k must be a nonempty list of positive ints")
         if self.n_total is not None and self.n_total < 1:
             raise ConfigError("n_total must be positive")
-        if not (0.0 < self.level < 1.0):
-            raise ConfigError("level must be in (0, 1)")
-        if self.mcmc_iters < 2 or self.bins < 2:
-            raise ConfigError("mcmc_iters and bins must be >= 2")
-        if self.experiment.startswith("Lasso") and not (0 <= self.s <= self.d):
-            raise ConfigError("s must be in [0, d]")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ConfigError("sigma must be a finite value >= 0")
-        if not (math.isfinite(self.lam_scale) and self.lam_scale > 0.0):
-            raise ConfigError("lam_scale must be a finite positive value")
+        if self.mcmc_iters < 2:
+            raise ConfigError("mcmc_iters must be >= 2")
+        if self.experiment.startswith("Lasso") and self.d < _SPARSITY:
+            raise ConfigError(f"{self.experiment} needs d >= {_SPARSITY}, "
+                              "the sparse model's support size")
 
     @property
     def out_path(self) -> Path:
@@ -97,9 +93,14 @@ class ExperimentConfig:
             return Path(self.out)
         return Path(f"results_{self.experiment}.csv")
 
+    @property
+    def bins(self) -> int:
+        """Sturges' rule on a chain's kept half (15 at the default length), at least 2."""
+        return max(2, math.ceil(math.log2(self.mcmc_iters - self.mcmc_iters // 2)) + 1)
+
 
 # Parsers by annotated field type; an optional field parses as its base type.
-_PARSERS = {"int": int, "float": float, "str": str,
+_PARSERS = {"int": int, "str": str,
             "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split(",")
                                                   if v.strip())}
 # Config fields whose mapping key is shorter than the field name.
@@ -180,7 +181,7 @@ def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarr
     emit("averaging", "vectors_sent", averaging_cost)
 
     ledger0 = cluster.ledger.copy()
-    trajectory = ilea(cluster, theta_avg, rounds=config.rounds)
+    trajectory = ilea(cluster, theta_avg, rounds=_ROUNDS)
     per_round = (cluster.ledger.vectors_sent - ledger0.vectors_sent) // trajectory.rounds
     for t in range(1, trajectory.rounds + 1):
         emit(f"csl_{t}", "sq_error", _sq_error(trajectory.iterates[t], theta_star))
@@ -189,18 +190,15 @@ def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarr
 
 def _coverage_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                     trial: int, emit) -> None:
-    center = ilea(cluster, subsample_estimator(cluster), rounds=config.rounds).final
+    center = ilea(cluster, subsample_estimator(cluster), rounds=_ROUNDS).final
     emit("csl", "sq_error", _sq_error(center, theta_star))
 
     surr = build_surrogate(cluster, center)
-    n_total = cluster.n_total
-    ci_local = confidence_intervals(center, sigma_local(surr, center), n_total,
-                                    level=config.level)
+    ci_local = confidence_intervals(center, sigma_local(surr, center), cluster.n_total)
     emit("csl", "covered_local", float(ci_local.covers(theta_star)[0]))
     emit("csl", "halfwidth_local", ci_local.halfwidths[0])
 
-    ci_cross = confidence_intervals(center, sigma_cross(cluster, center), n_total,
-                                    level=config.level)
+    ci_cross = confidence_intervals(center, sigma_cross(cluster, center), cluster.n_total)
     emit("csl", "covered_cross", float(ci_cross.covers(theta_star)[0]))
     emit("csl", "halfwidth_cross", ci_cross.halfwidths[0])
 
@@ -230,12 +228,11 @@ def _lasso_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndar
     n, k = cluster.n_per_shard, cluster.k
     # Every lasso names its penalty; the generator's noise level is known
     # here, so the penalty levels take it directly rather than an estimate.
-    sigma = config.sigma if config.sigma > 0.0 else 1e-3
-    lam_local = lambda_heuristic(sigma, config.d, n)
+    lam_local = lambda_heuristic(_NOISE_SD, config.d, n)
     # The surrogate's penalty must stay above the anchor-driven contamination
-    # of its gradient, which does not shrink with k; lam_scale is the knob that
-    # keeps it there (the sweep presets pin a measured value).
-    lam_global = lambda_heuristic(sigma, config.d, n * k, scale=config.lam_scale)
+    # of its gradient, which does not shrink with k; the measured scale of 3
+    # keeps it there on every lasso sweep.
+    lam_global = lambda_heuristic(_NOISE_SD, config.d, n * k, scale=_LAM_SCALE)
 
     def emit_fit(label: str, fit, vectors: int) -> None:
         emit(label, "sq_error", _sq_error(fit.theta, theta_star))
@@ -269,10 +266,10 @@ def _bayes_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndar
     seeds = derive_rng(config.seed, config.experiment, cluster.k, trial, "chains")
     chain_seed = int(seeds.integers(0, 2 ** 63 - 1))
 
+    prior = Prior.flat()
     ledger0 = cluster.ledger.copy()
-    result = run_csl_bayes(cluster, Prior.flat(),
-                           McmcSettings(iters=config.mcmc_iters,
-                                        seed=chain_seed))
+    result = run_csl_bayes(cluster, prior, McmcSettings(iters=config.mcmc_iters,
+                                                        seed=chain_seed))
     emit("csl_bayes", "vectors_sent", cluster.ledger.vectors_sent - ledger0.vectors_sent)
     emit("csl_bayes", "accept_rate", result.chain.acceptance_rate)
 
@@ -283,13 +280,10 @@ def _bayes_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndar
     # independent sampling noise, which at this chain length would swamp it.
     # Pooled evaluation is the fast equivalent of the mean-of-shards oracle;
     # it is diagnostic, not protocol traffic.
-    pooled_for_oracle = cluster.pooled_shard(meter=False)
-    prior = Prior.flat()
-    n_total = cluster.n_total
-    oracle_cluster = Cluster(cluster.model, [pooled_for_oracle])
+    oracle_cluster = Cluster(cluster.model, [cluster.pooled_shard(meter=False)])
 
     def oracle_target(theta):
-        return full_log_posterior(oracle_cluster, prior, theta, n_total)
+        return full_log_posterior(oracle_cluster, prior, theta, cluster.n_total)
 
     full_chain = metropolis(oracle_target, result.anchor,
                             result.chain.proposal_scale, config.mcmc_iters,
@@ -300,29 +294,33 @@ def _bayes_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndar
              marginal_l1(result.chain, full_chain, coordinate=coord, bins=config.bins))
 
 
-# Experiment -> (trial body, axis swept under a fixed n_total or None). A
-# fixed-total axis pairs each of its values v with n_total // v on the other
-# axis; otherwise the sweep is the full n-by-k grid.
+# Experiment -> (trial body, the sweep settings it reads). Every experiment
+# also reads d, trials, seed and out. Where n_total is read, the other axis
+# read (n or k) is swept under that fixed total, each value v paired with
+# n_total // v; otherwise the sweep is the full n-by-k grid.
 _DESIGNS = {
-    "MestSweepN": (_mest_trial, "n"),
-    "MestSweepK": (_mest_trial, None),
-    "Coverage": (_coverage_trial, None),
-    "LassoFixedN": (_lasso_trial, "k"),
-    "LassoFixedn": (_lasso_trial, None),
-    "Bayes": (_bayes_trial, None),
+    "MestSweepN": (_mest_trial, ("n", "n_total")),
+    "MestSweepK": (_mest_trial, ("n", "k")),
+    "Coverage": (_coverage_trial, ("n", "k")),
+    "LassoFixedN": (_lasso_trial, ("k", "n_total")),
+    "LassoFixedn": (_lasso_trial, ("n", "k")),
+    "Bayes": (_bayes_trial, ("n", "k", "mcmc_iters")),
 }
 EXPERIMENTS = tuple(_DESIGNS)
+# Settings some experiment ignores; each must then keep its default.
+_SWEEP_KEYS = {"n", "k", "n_total", "mcmc_iters"}
 
 
 def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int]]:
     """(n, k) grid for the experiment, honoring the fixed-total variants."""
-    axis = _DESIGNS[config.experiment][1]
-    if axis != "k" and not config.n_values:
+    reads = _DESIGNS[config.experiment][1]
+    if "n" in reads and not config.n_values:
         raise ConfigError(f"{config.experiment} needs n (one value or a comma list)")
-    if axis is None:
+    if "n_total" not in reads:
         return [(n, k) for n in config.n_values for k in config.k_values]
     if config.n_total is None:
         raise ConfigError(f"{config.experiment} needs n_total")
+    axis = "n" if "n" in reads else "k"
     points = []
     for value in (config.n_values if axis == "n" else config.k_values):
         if config.n_total % value != 0:
@@ -354,8 +352,8 @@ def _trial_rows(config: ExperimentConfig, body, n: int, k: int,
     try:
         rng = derive_rng(config.seed, config.experiment, n, k, trial, "data")
         if config.experiment.startswith("Lasso"):
-            shards, theta_star = gen_sparse_linear(config.d, n, k, config.s,
-                                                   config.sigma, rng)
+            shards, theta_star = gen_sparse_linear(config.d, n, k, _SPARSITY,
+                                                   _NOISE_SD, rng)
             cluster = Cluster(LossModel.linear(), shards)
         else:
             pooled, theta_star = gen_logistic(config.d, n * k, rng)
@@ -422,6 +420,13 @@ def _read_rows(path) -> list[dict[str, str]]:
                     raise ConfigError(f"{path} line {lineno}: bad {col} {record[col]!r}")
             if not math.isfinite(float(record["value"])):
                 raise ConfigError(f"{path} line {lineno}: non-finite value")
+            # These cells name the report's output files.
+            if record["experiment"] not in EXPERIMENTS:
+                raise ConfigError(f"{path} line {lineno}: unknown experiment "
+                                  f"{record['experiment']!r}")
+            for col in ("estimator", "metric"):
+                if not re.fullmatch(r"[A-Za-z0-9_]+", record[col]):
+                    raise ConfigError(f"{path} line {lineno}: bad {col} {record[col]!r}")
             rows.append(record)
         return rows
 
@@ -453,20 +458,15 @@ def report(results_path, out_dir=None) -> tuple[list[dict], list[Path]]:
         key = (record["experiment"], record["d"], record["n"], record["k"],
                record["estimator"], record["metric"])
         groups.setdefault(key, []).append(float(record["value"]))
-    summary = []
-    for key in groups:
-        values = groups[key]
-        med = statistics.median(values)
-        mad = statistics.median([abs(v - med) for v in values])
-        summary.append({
-            "experiment": key[0], "d": key[1], "n": key[2], "k": key[3],
-            "estimator": key[4], "metric": key[5], "count": len(values),
-            "median": med, "mad": mad,
-        })
-    summary.sort(key=lambda r: (r["experiment"], r["metric"], r["estimator"],
-                                int(r["d"]), int(r["n"]), int(r["k"])))
     summary_cols = ["experiment", "d", "n", "k", "estimator", "metric", "count",
                     "median", "mad"]
+    summary = []
+    for key, values in groups.items():
+        med = statistics.median(values)
+        mad = statistics.median([abs(v - med) for v in values])
+        summary.append(dict(zip(summary_cols, (*key, len(values), med, mad))))
+    summary.sort(key=lambda r: (r["experiment"], r["metric"], r["estimator"],
+                                int(r["d"]), int(r["n"]), int(r["k"])))
     tables = {"summary.csv": (summary_cols, summary)}
     for experiment, metric in sorted({(r["experiment"], r["metric"]) for r in summary}):
         tables[f"{experiment}_{metric}.csv"] = (
@@ -498,10 +498,10 @@ def desk_presets() -> dict[str, ExperimentConfig]:
             trials=200),
         "lasso_total_desk": ExperimentConfig(
             experiment="LassoFixedN", d=1000, n_total=6400,
-            k_values=(1, 2, 4, 8, 16), trials=10, lam_scale=3.0),
+            k_values=(1, 2, 4, 8, 16), trials=10),
         "lasso_shard_desk": ExperimentConfig(
             experiment="LassoFixedn", d=1000, n_values=(400,),
-            k_values=(1, 2, 4, 8, 16), trials=10, lam_scale=3.0),
+            k_values=(1, 2, 4, 8, 16), trials=10),
         "bayes_desk": ExperimentConfig(
             experiment="Bayes", d=2, n_values=(2 ** 6, 2 ** 8, 2 ** 10),
             k_values=(16,), trials=10),
@@ -522,10 +522,10 @@ def paper_presets() -> dict[str, ExperimentConfig]:
             trials=1000),
         "lasso_total_paper": ExperimentConfig(
             experiment="LassoFixedN", d=5000, n_total=25600,
-            k_values=(1, 2, 4, 8, 16, 32), trials=50, lam_scale=3.0),
+            k_values=(1, 2, 4, 8, 16, 32), trials=50),
         "lasso_shard_paper": ExperimentConfig(
             experiment="LassoFixedn", d=5000, n_values=(800,),
-            k_values=(1, 2, 4, 8, 16, 32, 64), trials=50, lam_scale=3.0),
+            k_values=(1, 2, 4, 8, 16, 32, 64), trials=50),
         "bayes_paper": ExperimentConfig(
             experiment="Bayes", d=2, n_values=tuple(2 ** p for p in range(6, 12)),
             k_values=(16,), trials=50),

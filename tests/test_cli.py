@@ -105,12 +105,14 @@ class TestRun:
                                          "lam_scale=nan"])
     def test_non_finite_noise_or_penalty_scale_exits_two_before_any_file(
             self, setting, tmp_path, capsys):
+        # the noise level and the penalty scale are constants of the sparse
+        # design, so no value of either, finite or not, reaches a run
         out = tmp_path / "r.csv"
         code = run_cli("run", "--out", str(out), "experiment=LassoFixedn", "d=20",
                        "n=40", "k=2", "trials=2", setting)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and setting.split("=")[0] in err
+        assert err.startswith(f"error: unknown config keys: {setting.split('=')[0]};")
         assert not out.exists()
 
     def test_flagged_trials_exit_three(self, tmp_path, monkeypatch, capsys):
@@ -121,11 +123,47 @@ class TestRun:
             raise CslError("boom")
 
         monkeypatch.setitem(experiments._DESIGNS, "MestSweepK",
-                            (always_fails, None))
+                            (always_fails, ("n", "k")))
         code = run_cli("run", "--preset", "sweep_k_desk", "trials=1", "k=2",
                        "n=32", "d=2", "--out", str(tmp_path / "f.csv"))
         assert code == 3
         assert "flagged" in capsys.readouterr().err
+
+
+# The sweep settings each experiment reads, at values it runs with.
+_READ = {"MestSweepN": ["n=32", "n_total=64"], "MestSweepK": ["n=32", "k=2"],
+         "Coverage": ["n=32", "k=2"], "LassoFixedN": ["k=2", "n_total=64"],
+         "LassoFixedn": ["n=32", "k=2"], "Bayes": ["n=32", "k=2", "mcmc_iters=50"]}
+_UNREAD = [("LassoFixedN", "n=32"), ("MestSweepN", "k=4")] + [
+    (name, "n_total=64") for name in ("MestSweepK", "Coverage", "LassoFixedn", "Bayes")] + [
+    (name, "mcmc_iters=50") for name in sorted(set(_READ) - {"Bayes"})]
+_REMOVED = ["level=0.9", "rounds=2", "bins=5", "s=4", "sigma=0.5", "lam_scale=2.5"]
+_REFUSED = [
+    *[((f"experiment={name}", "d=10", *_READ[name], setting),
+       f"{name} does not read {setting.split('=')[0]}") for name, setting in _UNREAD],
+    *[(("experiment=Bayes", "d=2", *_READ["Bayes"], setting),
+       f"unknown config keys: {setting.split('=')[0]};") for setting in _REMOVED],
+    *[((f"experiment={name}", "d=9", *_READ[name]), f"{name} needs d >= 10")
+      for name in ("LassoFixedN", "LassoFixedn")],
+    (("--preset", "coverage_desk", "k=16", "mcmc_iters=5", "lam_scale=7", "n_total=999"),
+     "unknown config keys: lam_scale;"),
+]
+
+
+@pytest.mark.parametrize("args, message", _REFUSED,
+                         ids=[" ".join(args) for args, _ in _REFUSED])
+def test_every_setting_a_run_accepts_is_one_it_reads(args, message, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run_cli("run", "--out", str(out), *args, "trials=1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", sorted(_READ))
+def test_each_experiment_accepts_the_settings_it_reads(name, built):
+    assert run_cli("run", f"experiment={name}", "d=10", *_READ[name]) == 0
+    assert [config.experiment for config in built] == [name]
 
 
 @pytest.mark.parametrize("name", sorted({**desk_presets(), **paper_presets()}))
@@ -138,14 +176,14 @@ def test_every_preset_round_trips_through_the_cli_mapping(name, built):
 def test_preset_then_file_then_overrides_then_env_seed_then_out(tmp_path, monkeypatch,
                                                                 built):
     config_file = tmp_path / "cfg.txt"
-    config_file.write_text("d = 4\nlevel = 0.8\ntrials = 2\nseed = 3\n"
+    config_file.write_text("d = 4\nn = 512\ntrials = 2\nseed = 3\n"
                            f"out = {tmp_path / 'file.csv'}\n")
     monkeypatch.setenv("CSL_SEED", "77")
     code = run_cli("run", "--preset", "coverage_desk", "--config", str(config_file),
                    "--out", str(tmp_path / "flag.csv"), "trials=5", "seed=9", "k=16")
     assert code == 0
     assert built == [dataclasses.replace(
-        desk_presets()["coverage_desk"], d=4, level=0.8, trials=5, k_values=(16,),
+        desk_presets()["coverage_desk"], d=4, n_values=(512,), trials=5, k_values=(16,),
         seed=77, out=str(tmp_path / "flag.csv"))]
 
 
@@ -175,6 +213,24 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "line 2: bad d 'x'" in captured.err
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("row, cell", [
+        ("../escaped,2,64,16,1,csl,sq_error,0.5", "experiment '../escaped'"),
+        ("Bayes,2,64,16,1,../csl,sq_error,0.5", "estimator '../csl'"),
+        ("Bayes,2,64,16,1,csl,sq/error,0.5", "metric 'sq/error'")],
+        ids=["experiment", "estimator", "metric"])
+    def test_names_that_would_leave_the_out_dir_exit_two(self, row, cell, tmp_path,
+                                                          capsys):
+        # experiment and metric name the tidy files, so a path in either
+        # would write outside --out-dir
+        results = tmp_path / "r.csv"
+        results.write_text("experiment,d,n,k,trial,estimator,metric,value\n"
+                           f"{row}\n")
+        assert run_cli("report", str(results), "--out-dir",
+                       str(tmp_path / "out" / "tables")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2: " in err and cell in err
+        assert list(tmp_path.iterdir()) == [results]
 
     def test_out_dir_under_a_file_exits_two(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

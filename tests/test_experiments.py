@@ -69,14 +69,15 @@ class TestConfigParsing:
                 config_from_mapping(as_mapping(experiment=name, d=2))
 
     def test_n_is_needed_only_where_the_sweep_reads_it(self, tmp_path):
-        total = config_from_mapping(as_mapping(experiment="LassoFixedN", d=8, s=2,
+        total = config_from_mapping(as_mapping(experiment="LassoFixedN", d=10,
                                                n_total=80, k=[2, 4]))
         assert total.n_values == ()
         assert experiments._sweep_points(total) == [(40, 2), (20, 4)]
         for name in sorted(set(EXPERIMENTS) - {"LassoFixedN"}):
             out = tmp_path / f"{name}.csv"
-            config = config_from_mapping(as_mapping(experiment=name, d=8, s=2,
-                                                    n_total=80, k=[2, 4], out=out))
+            axis = {"n_total": 80} if name == "MestSweepN" else {"k": [2, 4]}
+            config = config_from_mapping(as_mapping(experiment=name, d=10, out=out,
+                                                    **axis))
             with pytest.raises(ConfigError, match=r"needs n \("):
                 run_experiment(config)
             assert not out.exists()
@@ -86,38 +87,39 @@ class TestConfigParsing:
                                     "LassoFixedN", "LassoFixedn", "Bayes"}
 
     def test_sparsity_must_fit_dimension_for_lasso_only(self):
-        # default s=10 exceeds d=3 but only the lasso designs care
+        # the sparse model's s=10 exceeds d=3 but only the lasso designs care
         tiny = config_from_mapping(as_mapping(experiment="MestSweepK", d=3, n=[32]))
         assert tiny.d == 3
-        with pytest.raises(ConfigError):
-            config_from_mapping(as_mapping(experiment="LassoFixedn", d=3, n=[32],
-                                     s=10))
+        with pytest.raises(ConfigError, match="LassoFixedn needs d >= 10"):
+            config_from_mapping(as_mapping(experiment="LassoFixedn", d=3, n=[32]))
+        assert config_from_mapping(as_mapping(experiment="LassoFixedn", d=10,
+                                              n=[32])).d == 10
 
     def test_every_key_parses_into_its_field(self):
-        mapping = {"experiment": "LassoFixedN", "d": "20", "n": "8, 16", "k": "2,3",
+        mapping = {"experiment": "Bayes", "d": "20", "n": "8, 16", "k": "2,3",
                    "n_total": "96", "trials": "3", "seed": "7", "out": "elsewhere.csv",
-                   "level": "0.9", "rounds": "2", "mcmc_iters": "50", "bins": "5",
-                   "s": "4", "sigma": "0.5", "lam_scale": "2.5"}
-        config = ExperimentConfig(
-            experiment="LassoFixedN", d=20, n_values=(8, 16), k_values=(2, 3),
-            n_total=96, trials=3, seed=7, out="elsewhere.csv", level=0.9,
-            rounds=2, mcmc_iters=50, bins=5, s=4, sigma=0.5, lam_scale=2.5)
-        defaults = ExperimentConfig(experiment="LassoFixedN", d=20, n_values=(8,))
+                   "mcmc_iters": "50"}
+        values = dict(experiment="Bayes", d=20, n_values=(8, 16), k_values=(2, 3),
+                      n_total=96, trials=3, seed=7, out="elsewhere.csv", mcmc_iters=50)
+        defaults = ExperimentConfig(experiment="Bayes", d=20)
         for f in dataclasses.fields(ExperimentConfig):
-            if f.name not in ("experiment", "d", "n_values"):
-                assert getattr(config, f.name) != getattr(defaults, f.name), f.name
+            if f.name not in ("experiment", "d"):
+                assert values[f.name] != getattr(defaults, f.name), f.name
         assert len(mapping) == len(dataclasses.fields(ExperimentConfig))
-        assert config_from_mapping(mapping) == config
-        assert config_values({"n": "4", "k": "2", "sigma": "3"}) == {
-            "n_values": (4,), "k_values": (2,), "sigma": 3.0}
+        assert config_values(mapping) == values
+        # no design reads every key: Bayes sweeps its grid without n_total
+        del mapping["n_total"], values["n_total"]
+        assert config_from_mapping(mapping) == ExperimentConfig(**values)
+        assert config_values({"n": "4", "k": "2", "mcmc_iters": "3"}) == {
+            "n_values": (4,), "k_values": (2,), "mcmc_iters": 3}
 
     def test_values_parse_by_field_type(self):
         with pytest.raises(ConfigError, match="bad config value"):
             config_from_mapping(as_mapping(experiment="Bayes", d=2, n=[8],
                                            trials="2.5"))
         config = config_from_mapping(as_mapping(experiment="Bayes", d=2, n=[8],
-                                                sigma="3", out="7"))
-        assert config.sigma == 3.0 and isinstance(config.sigma, float)
+                                                mcmc_iters="300", out="7"))
+        assert config.mcmc_iters == 300 and isinstance(config.mcmc_iters, int)
         assert config.out == "7"
 
     def test_malformed_line_rejected(self):
@@ -131,8 +133,8 @@ class TestRunMest:
         result = run_experiment(config)
         rows = read_rows(result.path)
         # per trial: global 3 rows, subsample 2, averaging 2, csl_t 2 each
-        # for rounds=3, plus one runtime row
-        per_trial = 3 + 2 + 2 + 2 * config.rounds + 1
+        # for the three refit rounds, plus one runtime row
+        per_trial = 3 + 2 + 2 + 2 * 3 + 1
         assert len(rows) == per_trial * 2 * 2
         assert result.rows_written == len(rows)
         assert result.error_flags == 0
@@ -198,6 +200,17 @@ class TestRunCoverage:
 
 
 class TestRunBayes:
+    def test_bins_follow_sturges_rule_on_the_kept_draws(self, tmp_path):
+        assert ExperimentConfig(experiment="Bayes", d=2).bins == 15
+        # two steps keep a single draw, which still gets the two-bin floor
+        config = config_from_mapping(as_mapping(
+            experiment="Bayes", d=2, n=[32], k=[2], trials=1, mcmc_iters=2,
+            out=str(tmp_path / "two_steps.csv")))
+        assert config.bins == 2
+        result = run_experiment(config)
+        assert result.error_flags == 0
+        assert "marginal_l1_2" in [r["metric"] for r in read_rows(result.path)]
+
     def test_marginal_rows_per_coordinate(self, tmp_path):
         config = config_from_mapping(as_mapping(
             experiment="Bayes", d=2, n=[64], k=[2], trials=1, seed=3,
@@ -223,7 +236,7 @@ class TestFailureHandling:
                 raise CslError("synthetic failure")
             return real(config, cluster, theta_star, trial, emit)
 
-        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (flaky, None))
+        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (flaky, ("n", "k")))
         config = tiny_mest_config(tmp_path, k=[2])
         result = run_experiment(config)
         assert calls["count"] == 2
@@ -245,7 +258,7 @@ class TestFailureHandling:
                 raise CslError("failure after a row")
             return real(config, cluster, theta_star, trial, emit)
 
-        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (half_done, None))
+        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (half_done, ("n", "k")))
         result = run_experiment(tiny_mest_config(tmp_path, k=[2]))
         rows = read_rows(result.path)
         first = [r for r in rows if r["trial"] == "1"]
@@ -260,7 +273,7 @@ class TestFailureHandling:
             emit("global", "vectors_sent", 0)
             emit("global", "sq_error", float("nan"))
 
-        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (emits_nan, None))
+        monkeypatch.setitem(experiments._DESIGNS, "MestSweepK", (emits_nan, ("n", "k")))
         result = run_experiment(tiny_mest_config(tmp_path, k=[2]))
         rows = read_rows(result.path)
         assert [r["metric"] for r in rows] == ["error_flag", "error_flag"]

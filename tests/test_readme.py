@@ -1,7 +1,12 @@
-"""The library example in README.md, and in its copy in PAPER.md, runs as written."""
+"""The library example in README.md, and in its copy in PAPER.md, runs as
+written, and both name exactly the config keys the schema has."""
 
 import re
 from pathlib import Path
+
+import pytest
+
+from csl import experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +35,13 @@ def test_library_in_one_screen_runs_in_order():
 
 def test_paper_copy_of_the_library_example_runs():
     _run_library_example(ROOT / "PAPER.md", n_blocks=1)
+
+
+@pytest.mark.parametrize("name", ["README.md", "PAPER.md"])
+def test_config_keys_list_names_the_schema(name):
+    text = (ROOT / name).read_text()
+    start = text.index("Config keys")
+    paragraph = text[start:text.index("\n\n", start)]
+    named = {word for word in re.findall(r"`([^`]+)`", paragraph)
+             if re.fullmatch(r"[a-z_]+", word)}
+    assert named == set(experiments._FIELDS)

@@ -133,12 +133,12 @@ def config_values(mapping: dict[str, str]) -> dict:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}; "
                           f"valid: {', '.join(sorted(_FIELDS))}")
     values: dict = {}
-    try:
-        for key, text in mapping.items():
-            f, parse = _FIELDS[key]
+    for key, text in mapping.items():
+        f, parse = _FIELDS[key]
+        try:
             values[f.name] = parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}")
+        except ValueError as exc:
+            raise ConfigError(f"bad config value for {key}: {exc}")
     return values
 
 

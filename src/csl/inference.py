@@ -57,7 +57,8 @@ def _score_sandwich(loss: ShardLoss, theta: np.ndarray,
     the per-sample scores minus ``shift``."""
     curvature = loss.eval(theta, 2)[2]
     scores = loss.per_sample(theta) - shift
-    middle = scores.T @ scores / loss.shard.n_samples
+    # np.dot, not @: with a transposed operand only np.dot releases the GIL.
+    middle = np.dot(scores.T, scores) / loss.shard.n_samples
     return sandwich(curvature, middle)
 
 

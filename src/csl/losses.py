@@ -225,8 +225,9 @@ class ShardLoss:
         if self._grad is None:
             x, n = self.shard.x, self.shard.n_samples
             excess = np.subtract(self._mean(), self.shard.y, out=self._v)
-            self._grad = ((2.0 / n) * (x.T @ excess) if self.model.link is None
-                          else (x.T @ excess) / n)
+            # np.dot, not @: with a transposed operand only np.dot releases the GIL.
+            self._grad = ((2.0 / n) * np.dot(x.T, excess) if self.model.link is None
+                          else np.dot(x.T, excess) / n)
         return self._grad.copy()
 
     def eval(self, theta: np.ndarray, order: int) -> tuple:
@@ -254,8 +255,9 @@ class ShardLoss:
         if order == 1:
             return self._value, grad
         if self._hess is None:  # the einsum is x * phi''[:, None], bit for bit
-            self._hess = ((2.0 / n) * (x.T @ x) if link is None else
-                          np.einsum("ij,i->ij", x, link.phi_double(u, self._core)).T @ x / n)
+            # np.dot, not @: with a transposed operand only np.dot releases the GIL.
+            self._hess = ((2.0 / n) * np.dot(x.T, x) if link is None else np.dot(
+                np.einsum("ij,i->ij", x, link.phi_double(u, self._core)).T, x) / n)
         return self._value, grad, self._hess.copy()
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:

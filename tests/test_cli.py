@@ -72,6 +72,13 @@ class TestRun:
     def test_bad_override_exits_two(self, capsys):
         assert run_cli("run", "--preset", "sweep_k_desk", "bogus") == 2
 
+    def test_bad_value_names_its_key(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("run", "--out", str(out), "experiment=Bayes", "d=2", "n=1,x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config value for n: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("spelling", ["override", "env"])
     def test_negative_seed_exits_two_before_any_file(self, spelling, tmp_path, monkeypatch,
                                                      capsys):

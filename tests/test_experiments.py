@@ -114,7 +114,7 @@ class TestConfigParsing:
             "n_values": (4,), "k_values": (2,), "mcmc_iters": 3}
 
     def test_values_parse_by_field_type(self):
-        with pytest.raises(ConfigError, match="bad config value"):
+        with pytest.raises(ConfigError, match="bad config value for trials: "):
             config_from_mapping(as_mapping(experiment="Bayes", d=2, n=[8],
                                            trials="2.5"))
         config = config_from_mapping(as_mapping(experiment="Bayes", d=2, n=[8],

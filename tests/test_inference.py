@@ -114,6 +114,19 @@ class TestSigmaLocal:
         sigma_local(s, theta_star)
         assert cluster.ledger == before
 
+    @pytest.mark.parametrize("n, d", [(257, 3), (16_384, 10), (2048, 5), (400, 37)])
+    def test_score_outer_product_equals_the_plain_expression(self, n, d):
+        # sigma_local's middle term is np.dot(scores.T, scores): bit for bit @
+        rng = derive_rng(5, "scores", n, d)
+        x = rng.normal(size=(2 * n, d))
+        y = (rng.uniform(size=2 * n) < 0.5).astype(float)
+        cluster = Cluster.from_pooled(LossModel.logistic(), x, y, 2)
+        theta = 0.2 * rng.normal(size=d)
+        s = build_surrogate(cluster, theta)
+        scores = s.loss.per_sample(theta) - s.correction
+        reference = sandwich(s.loss.eval(theta, 2)[2], scores.T @ scores / n)
+        np.testing.assert_array_equal(sigma_local(s, theta), reference)
+
 
 class TestSigmaCross:
     @staticmethod

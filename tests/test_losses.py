@@ -214,11 +214,15 @@ def family_loss(family, n, d, seed):
 
 
 class TestBuffers:
+    # Beyond (257, 3), the shapes the workloads run, where OpenBLAS takes its
+    # blocked kernels: the evaluator's np.dot products must equal @ there too.
+    @pytest.mark.parametrize("n, d", [(257, 3), (16_384, 10), (16_384, 2), (2048, 5),
+                                      (400, 37)])
     @pytest.mark.parametrize("family", list(FAMILIES))
-    def test_every_output_equals_the_plain_expressions(self, family):
-        loss, rng = family_loss(family, 257, 3, 21)
+    def test_every_output_equals_the_plain_expressions(self, family, n, d):
+        loss, rng = family_loss(family, n, d, 21)
         for _ in range(5):
-            theta = 0.5 * rng.standard_normal(3)
+            theta = 0.5 * rng.standard_normal(d)
             value, grad, hess, rows = plain_expressions(family, loss.shard, theta)
             assert loss.eval(theta, 0) == (value,)
             v1, g1 = loss.eval(theta, 1)

@@ -11,10 +11,12 @@ from csl import transport
 from csl.cluster import Cluster
 from csl.datagen import gen_logistic, gen_sparse_linear
 from csl.errors import DataError, NonConvergenceError, WorkerError
-from csl.estimators import subsample_estimator
+from csl.estimators import averaging_estimator, ilea, subsample_estimator
+from csl.inference import sigma_cross, sigma_local
 from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import L1Settings, LassoFit, SolverSettings, local_fit
 from csl.sparse import averaging_lasso, local_lasso
+from csl.surrogate import build_surrogate
 from csl.transport import (OP_ERROR, OP_EVAL_GRAD, OP_GRAD_REPLY, OP_LASSO_REPLY,
                            OP_LASSO_REQ, OP_LOAD_SHARD, OP_LOCAL_MIN_REPLY,
                            OP_LOCAL_MIN_REQ, WorkerClient, WorkerServer, pack_frame,
@@ -371,6 +373,25 @@ class TestTcpCluster:
             fits_tcp = over_tcp.local_minimizer_round(SolverSettings())
             fits_plain = plain.local_minimizer_round(SolverSettings())
             for a, b in zip(fits_tcp, fits_plain):
+                np.testing.assert_array_equal(a, b)
+            assert over_tcp.ledger == plain.ledger
+
+    def test_tcp_matches_in_process_bitwise_at_the_benchmark_shape(self):
+        # k=3 shards of 16 384 rows at d=10: the workers' fits run at once
+        pooled, _ = gen_logistic(10, 16_384 * 3, 11)
+        model = LossModel.logistic()
+
+        def outputs(cluster):
+            theta_avg = averaging_estimator(cluster)
+            theta = ilea(cluster, theta_avg, rounds=1).final
+            s_local = sigma_local(build_surrogate(cluster, theta), theta)
+            with pytest.warns(UserWarning, match="sigma_cross with k=3"):
+                s_cross = sigma_cross(cluster, theta)
+            return theta_avg, theta, s_local, s_cross
+
+        plain = Cluster.from_pooled(model, pooled.x, pooled.y, 3)
+        with Cluster.from_pooled(model, pooled.x, pooled.y, 3, transport="tcp") as over_tcp:
+            for a, b in zip(outputs(over_tcp), outputs(plain), strict=True):
                 np.testing.assert_array_equal(a, b)
             assert over_tcp.ledger == plain.ledger
 

@@ -54,8 +54,8 @@ def _softplus(u, e, out=None, work=None):
     return np.add(out, np.log1p(e, out=work), out=out)
 
 
-def _sigmoid(u, e):
-    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+def _sigmoid(u, e):  # np.where(u >= 0.0, 1.0, e) bit for bit, as 0 <= e <= 1
+    return np.maximum(e, u >= 0.0) / (1.0 + e)
 
 
 def _logistic_weight(u, e):  # sigmoid(u) * sigmoid(-u)
@@ -188,6 +188,7 @@ class ShardLoss:
         self._u, self._v, self._work = np.empty(n), np.empty(n), np.empty(n)
         self._core = None if model.link is None else np.empty(n)
         self._key = self._value = self._grad = self._hess = None
+        self._zero_key = bytes(8 * shard.n_features)
 
     def restrict(self, columns: np.ndarray) -> "ShardLoss":
         """The same model on ``x[:, columns]`` and the same y: at a theta that
@@ -211,7 +212,10 @@ class ShardLoss:
         key = theta.tobytes()
         if key != self._key:
             self._key = self._value = self._grad = self._hess = None
-            np.matmul(self.shard.x, theta, out=self._u)
+            if key == self._zero_key:  # x @ +0 is +0; a -0.0 entry takes the product
+                self._u.fill(0.0)
+            else:
+                np.matmul(self.shard.x, theta, out=self._u)
             if self.model.link is not None:
                 self.model.link.core(self._u, out=self._core)
             self._key = key

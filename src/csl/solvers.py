@@ -3,10 +3,11 @@
 The objective convention used across the package: ``objective(theta, order)``
 returns ``(value,)``, ``(value, gradient)`` or ``(value, gradient, hessian)``
 as ``float``, ``(d,)`` and ``(d, d)`` for order 0, 1 or 2.
-:meth:`ShardLoss.eval <csl.losses.ShardLoss.eval>` is such an objective. The
-Newton line search asks for values only. The proximal solver :func:`fista_l1`
-asks for order 0 at the start, at every backtracking probe and at the end,
-and for order 1 once per iteration plus once per stationarity check.
+:meth:`ShardLoss.eval <csl.losses.ShardLoss.eval>` is such an objective.
+Newton asks for order 1 at each point it reaches, the Hessian only where it
+steps, and values only in its line search. :func:`fista_l1` asks for order 0
+at the start, at every backtracking probe and at the end, and for order 1
+once per iteration plus once per stationarity check.
 
 The lasso fits keep only a few of their columns, so they solve on a working
 set. A pass runs :func:`fista_l1` on the columns of the working set alone,
@@ -105,15 +106,16 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
                     settings: SolverSettings = SolverSettings()) -> np.ndarray:
     """Minimize a smooth objective by damped Newton steps.
 
-    Stops when the gradient sup-norm drops to settings.grad_tol. Raises
-    NonConvergenceError (carrying the last iterate and gradient norm) when the
-    iteration budget runs out or the line search stalls; never returns a
-    silently unconverged point.
+    Asks for order 1 at the start and each accepted point, and for the Hessian
+    only where it steps: s steps take s Hessians. Stops when the gradient
+    sup-norm drops to settings.grad_tol. Raises NonConvergenceError (carrying
+    the last iterate and gradient norm) when the iteration budget runs out or
+    the line search stalls; never returns a silently unconverged point.
     """
     theta = np.array(theta0, dtype=np.float64)
     if theta.ndim != 1:
         raise DataError("theta0 must be a vector")
-    value, grad, hessian = objective(theta, 2)
+    value, grad = objective(theta, 1)
     for iteration in range(settings.max_iters):
         gnorm = float(np.max(np.abs(grad)))
         if not np.isfinite(gnorm):
@@ -122,7 +124,7 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
                 last_iterate=theta, gradient_norm=gnorm, iterations=iteration)
         if gnorm <= settings.grad_tol:
             return theta
-        p = _newton_direction(hessian, grad)
+        p = _newton_direction(objective(theta, 2)[2], grad)
         slope = float(grad @ p)
         t = 1.0
         while True:
@@ -136,7 +138,7 @@ def newton_minimize(objective: Objective, theta0: np.ndarray,
                     f"line search stalled at iteration {iteration}",
                     last_iterate=theta, gradient_norm=gnorm, iterations=iteration)
         theta = candidate
-        value, grad, hessian = objective(theta, 2)
+        value, grad = objective(theta, 1)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= settings.grad_tol:
         return theta

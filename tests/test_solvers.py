@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import gd_minimize
@@ -19,17 +21,17 @@ def quadratic_objective(target):
 
 def test_quadratic_converges_in_one_step():
     target = np.array([3.0, -1.5, 0.25])
-    calls = {"count": 0}
+    orders = []
     base = quadratic_objective(target)
 
     def counting(theta, order):
-        calls["count"] += 1
+        orders.append(order)
         return base(theta, order)
 
     result = newton_minimize(counting, np.zeros(3))
     np.testing.assert_allclose(result, target, rtol=0, atol=1e-12)
-    # one model evaluation at the start, one line-search probe, one final check
-    assert calls["count"] <= 3
+    # the start's gradient, its Hessian, one line-search probe, the final check
+    assert orders == [1, 2, 0, 1]
 
 
 def test_already_optimal_start_returns_immediately():
@@ -108,21 +110,24 @@ class TestObjectiveOrders:
         x = rng.standard_normal((120, 3))
         y = (rng.uniform(size=120) < 1.0 / (1.0 + np.exp(-x @ np.array([2.0, -1.0, 0.5])))
              ).astype(float)
-        objective, calls = counting_shard_objective(DataShard(x=x, y=y))
+        shard = DataShard(x=x, y=y)
+        objective, calls = counting_shard_objective(shard)
         # start far out so that some steps backtrack
         newton_minimize(objective, np.full(3, 6.0))
-        orders = [order for order, _ in calls]
-        assert set(orders) == {0, 2}
-        steps = orders.count(2) - 1
-        assert orders[0] == 2
-        assert orders.count(0) > steps  # some probe was rejected
-        # every Hessian after the first is taken at the accepted probe
-        for i, (order, theta) in enumerate(calls[1:], start=1):
+        orders = "".join(str(order) for order, _ in calls)
+        # a gradient, then per step a Hessian, value-only probes and a gradient
+        assert re.fullmatch(r"1(20+1)*", orders)
+        steps = orders.count("1") - 1
+        assert orders.count("2") == steps > 0
+        assert orders.count("0") > steps  # some probe was rejected
+        fresh = ShardLoss(LossModel.logistic(), shard)
+        for (_, at), (order, theta) in zip(calls, calls[1:]):
+            if order:  # a Hessian at the gradient's point, a gradient at the accepted probe
+                assert theta.tobytes() == at.tobytes()
             if order == 2:
-                assert calls[i - 1][0] == 0
-                np.testing.assert_array_equal(theta, calls[i - 1][1])
+                assert np.max(np.abs(fresh.gradient(theta))) > SolverSettings().grad_tol
 
-    def test_hessians_are_iterations_plus_one(self):
+    def test_hessians_are_iterations(self):
         # separable labels exhaust the budget, so the reported iteration
         # count is the number of Newton steps taken
         x = np.concatenate([np.ones((20, 1)), -np.ones((20, 1))])
@@ -131,8 +136,9 @@ class TestObjectiveOrders:
         with pytest.raises(NonConvergenceError) as info:
             newton_minimize(objective, np.zeros(1), SolverSettings(max_iters=8))
         orders = [order for order, _ in calls]
-        assert orders.count(2) == info.value.iterations + 1 == 9
-        assert orders.count(0) == len(orders) - 9
+        assert orders.count(2) == info.value.iterations == 8
+        assert orders.count(1) == 9
+        assert orders.count(0) == len(orders) - 17
 
 
 class TestSettingsValidation:

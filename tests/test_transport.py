@@ -364,16 +364,16 @@ class TestTcpCluster:
         model = LossModel.logistic()
         with Cluster.from_pooled(model, pooled.x, pooled.y, 3, transport="tcp") as over_tcp:
             plain = Cluster.from_pooled(model, pooled.x, pooled.y, 3)
-            theta = np.array([0.5, -0.5, 0.25, 0.0])
-            g_tcp, locals_tcp = over_tcp.gradient_round(theta)
-            g_plain, locals_plain = plain.gradient_round(theta)
-            np.testing.assert_array_equal(g_tcp, g_plain)
-            for a, b in zip(locals_tcp, locals_plain):
-                np.testing.assert_array_equal(a, b)
+            # a zero start takes no product; a -0.0 start takes one
+            for theta in (np.array([0.5, -0.5, 0.25, 0.0]), np.zeros(4), -np.zeros(4)):
+                g_tcp, locals_tcp = over_tcp.gradient_round(theta)
+                g_plain, locals_plain = plain.gradient_round(theta)
+                for a, b in zip([g_tcp, *locals_tcp], [g_plain, *locals_plain], strict=True):
+                    assert a.tobytes() == b.tobytes()
             fits_tcp = over_tcp.local_minimizer_round(SolverSettings())
             fits_plain = plain.local_minimizer_round(SolverSettings())
-            for a, b in zip(fits_tcp, fits_plain):
-                np.testing.assert_array_equal(a, b)
+            for a, b in zip(fits_tcp, fits_plain, strict=True):
+                assert a.tobytes() == b.tobytes()
             assert over_tcp.ledger == plain.ledger
 
     def test_tcp_matches_in_process_bitwise_at_the_benchmark_shape(self):

@@ -208,11 +208,12 @@ class Cluster:
         """All samples on one machine, in worker order, as a read-only view
         when :func:`split_rows` cut the shards from one array. ``meter`` says
         whether the ledger pays (k-1)*n moved raw samples (a pooling baseline)
-        or not (a diagnostic copy); vector counts are unaffected."""
+        or not (a diagnostic copy); vector counts are unaffected. The shards
+        were checked when they were made, so the pooled one is not rescanned."""
         if meter and self.k > 1:
             self.ledger.samples_moved += (self.k - 1) * self.n_per_shard
-        return DataShard(x=_stacked([s.x for s in self.shards]),
-                         y=_stacked([s.y for s in self.shards]))
+        return DataShard._cut(_stacked([s.x for s in self.shards]),
+                              _stacked([s.y for s in self.shards]))
 
     def close(self) -> None:
         for client in self._clients:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import CslError, DataError, SingularHessianError
-from .solvers import SolverSettings, local_fit, newton_minimize
+from .solvers import SolverSettings, newton_minimize, run_fit
 from .surrogate import SurrogateLoss, build_surrogate
 
 __all__ = [
@@ -102,6 +102,8 @@ def averaging_estimator(cluster: Cluster) -> np.ndarray:
 
 
 def subsample_estimator(cluster: Cluster) -> np.ndarray:
-    """Fit on the coordinator's own shard only; costs no communication."""
-    return local_fit(cluster.losses[0])
+    """Fit on the coordinator's own shard only; costs no communication. It is
+    the coordinator's request of :func:`averaging_estimator`'s round, so
+    whichever runs second reuses the shard's fit."""
+    return run_fit(SolverSettings(), cluster.losses[0])
 

@@ -128,11 +128,19 @@ class LossModel:
                 raise DataError("count-response loss requires nonnegative labels")
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    # NaN carries through min and max and an infinity is one of them, so
+    # this rejects what np.isfinite would, without an n*d mask.
+    if not all(math.isfinite(a.min()) and math.isfinite(a.max()) for a in arrays):
+        raise DataError("shard contains non-finite entries")
+
+
 @dataclass(frozen=True)
 class DataShard:
     """An immutable (x, y) block of samples; one machine's local data.
 
-    Arrays are cast to float64 and frozen. Rows are samples.
+    Arrays are cast to float64, checked and frozen. Rows are samples. The
+    shard keeps the fits :func:`~csl.solvers.run_fit` finished on it.
     """
 
     x: np.ndarray
@@ -145,14 +153,24 @@ class DataShard:
             raise DataError(f"x must be (n, d) with n, d >= 1; got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise DataError(f"y must have shape ({x.shape[0]},); got {y.shape}")
-        # NaN carries through min and max and an infinity is one of them, so
-        # this rejects what np.isfinite would, without an n*d mask.
-        if not all(math.isfinite(a.min()) and math.isfinite(a.max()) for a in (x, y)):
-            raise DataError("shard contains non-finite entries")
+        _check_finite(x, y)
+        self._freeze(x, y)
+
+    @classmethod
+    def _cut(cls, x: np.ndarray, y: np.ndarray) -> "DataShard":
+        """A shard of arrays cut from checked shards, such as a pooled view or
+        a column slice: cast and frozen, but not scanned again."""
+        shard = object.__new__(cls)
+        shard._freeze(np.ascontiguousarray(x, dtype=np.float64),
+                      np.ascontiguousarray(y, dtype=np.float64))
+        return shard
+
+    def _freeze(self, x: np.ndarray, y: np.ndarray) -> None:
         x.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_fits", {})  # (model, request) -> finished fit
 
     @property
     def n_samples(self) -> int:
@@ -169,8 +187,9 @@ class ShardLoss:
 
     Binding checks the response against the model; shard arrays are
     read-only, so the check holds for the evaluator's lifetime. Every call
-    checks theta's shape and finiteness. The family branch, squared error or
-    a canonical GLM cumulant, lives here and nowhere else.
+    checks theta's shape, and at a new point its finiteness. The family
+    branch, squared error or a canonical GLM cumulant, lives here and nowhere
+    else.
 
     It remembers its last point, keyed on the bytes of theta so that an array
     changed in place is a new point. There it keeps ``u = x @ theta`` and the
@@ -182,6 +201,9 @@ class ShardLoss:
 
     def __init__(self, model: LossModel, shard: DataShard):
         model.validate_response(shard.y)
+        self._bind(model, shard)
+
+    def _bind(self, model: LossModel, shard: DataShard) -> None:
         self.model = model
         self.shard = shard
         n = shard.n_samples
@@ -192,9 +214,11 @@ class ShardLoss:
 
     def restrict(self, columns: np.ndarray) -> "ShardLoss":
         """The same model on ``x[:, columns]`` and the same y: at a theta that
-        is zero off those columns, the loss of ``theta[columns]``."""
-        return ShardLoss(self.model, DataShard(x=self.shard.x[:, columns],
-                                               y=self.shard.y))
+        is zero off those columns, the loss of ``theta[columns]``. The slice
+        of the checked shard and its checked response are not checked again."""
+        view = object.__new__(ShardLoss)
+        view._bind(self.model, DataShard._cut(self.shard.x[:, columns], self.shard.y))
+        return view
 
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         """theta as a float64 array of shape (d,) with finite entries."""
@@ -207,10 +231,14 @@ class ShardLoss:
         return theta
 
     def _at(self, theta: np.ndarray) -> "ShardLoss":
-        """Check theta; at a new point, compute u and the core vector."""
-        theta = self.check_theta(theta)
+        """Check theta's shape, and at a new point its finiteness too; there,
+        compute u and the core vector. The remembered point passed that check."""
+        theta = np.asarray(theta, dtype=np.float64)
         key = theta.tobytes()
-        if key != self._key:
+        new = key != self._key
+        if new or theta.shape != (self.shard.n_features,):
+            self.check_theta(theta)
+        if new:
             self._key = self._value = self._grad = self._hess = None
             if key == self._zero_key:  # x @ +0 is +0; a -0.0 entry takes the product
                 self._u.fill(0.0)

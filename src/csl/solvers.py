@@ -21,7 +21,8 @@ Every penalty is named by the caller, and :class:`LassoFit` checks it.
 :func:`run_fit` serves a typed local-fit request from zero,
 :class:`SolverSettings` for the Newton fit or :class:`LassoFit` for the lasso,
 on the coordinator's shards and on a tcp worker's alike; every local lasso of
-:mod:`csl.sparse` is such a request.
+:mod:`csl.sparse` is such a request. Each shard fits a request once and
+hands out copies.
 """
 
 from __future__ import annotations
@@ -200,10 +201,9 @@ def _stationarity_ok(grad: np.ndarray, theta: np.ndarray, lam: float,
                      slack: float) -> bool:
     """Subgradient optimality with slack: on the support the smooth gradient
     must cancel lam*sign(theta); off it, stay inside the lam tube."""
-    on = theta != 0.0
-    if np.any(np.abs(grad[on] + lam * np.sign(theta[on])) > slack):
-        return False
-    return not np.any(np.abs(grad[~on]) > lam + slack)
+    # One pass: off the support sign(theta) is 0, so the left side is |grad|,
+    # and the bound is slack + lam there and slack + 0.0 == slack on it.
+    return not (np.abs(grad + lam * np.sign(theta)) > slack + lam * (theta == 0.0)).any()
 
 
 def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
@@ -221,7 +221,7 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
         raise DataError("lam must be >= 0")
     x = np.array(theta0, dtype=np.float64)
     fx = objective(x, 0)[0]
-    comp_x = fx + lam * float(np.abs(x).sum())
+    comp_x = fx + lam * float(np.add.reduce(np.abs(x)))
     if not np.isfinite(comp_x):
         raise DataError("objective is not finite at theta0")
     z = x.copy()
@@ -244,7 +244,7 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
                 raise NonConvergenceError(
                     "backtracking exhausted; objective may not have a "
                     "Lipschitz gradient", last_iterate=x, iterations=iterations)
-        comp_u = fu + lam * float(np.abs(u).sum())
+        comp_u = fu + lam * float(np.add.reduce(np.abs(u)))
         # Momentum is 1 only at the start and after a restart, where z is x: a
         # step rejected there would be retaken bit for bit, forever.
         stalled = comp_u > comp_x and momentum == 1.0
@@ -265,7 +265,7 @@ def fista_l1(objective: Objective, lam: float, theta0: np.ndarray,
                 break
     x[np.abs(x) < _SNAP] = 0.0
     fx = objective(x, 0)[0]
-    return SparseEstimate(theta=x, objective_value=fx + lam * float(np.abs(x).sum()),
+    return SparseEstimate(theta=x, objective_value=fx + lam * float(np.add.reduce(np.abs(x))),
                           iterations=iterations, converged=converged)
 
 
@@ -336,7 +336,7 @@ def _working_set_lasso(loss: ShardLoss | SurrogateLoss, lam: float,
         value, grad = loss.eval(theta, 1)
         room = (_WS_GROWTH - 1) * working.size
     return SparseEstimate(theta=theta,
-                          objective_value=value + lam * float(np.abs(theta).sum()),
+                          objective_value=value + lam * float(np.add.reduce(np.abs(theta))),
                           iterations=iterations, converged=converged)
 
 
@@ -360,8 +360,16 @@ def run_fit(request: FitRequest, loss: ShardLoss) -> np.ndarray | SparseEstimate
     """Serve one local-fit request on a bound shard evaluator, from zero: the
     Newton fit for :class:`SolverSettings`, a :class:`SparseEstimate` for
     :class:`LassoFit`.
+
+    A fit from zero depends only on the model, the request and the shard, so
+    the shard remembers each one that finishes, keyed on (model, request),
+    and every call returns a fresh copy. A fit that raises is not remembered.
     """
-    if not isinstance(request, LassoFit):
-        return local_fit(loss, request)
-    return _working_set_lasso(loss, request.lam, np.zeros(loss.shard.n_features),
-                              request.settings)
+    fits, key = loss.shard._fits, (loss.model, request)
+    if key not in fits:
+        fits[key] = (local_fit(loss, request) if not isinstance(request, LassoFit) else
+                     _working_set_lasso(loss, request.lam, np.zeros(loss.shard.n_features),
+                                        request.settings))
+    fit = fits[key]
+    return (replace(fit, theta=fit.theta.copy()) if isinstance(fit, SparseEstimate)
+            else fit.copy())

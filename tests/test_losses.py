@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from conftest import fd_gradient, fd_jacobian, pure_python_logistic_gradient
 
+import csl.losses
+from csl import transport
+from csl.cluster import Cluster, split_rows
 from csl.errors import DataError
 from csl.losses import DataShard, LossModel, ShardLoss, shard_to_csv, sigmoid, softplus
 from csl.solvers import local_fit, newton_minimize
@@ -348,6 +351,114 @@ class TestPointMemory:
         # the zero start is the one point that takes no product
         assert type(design).products == len(points) - 1 < len(calls)
         np.testing.assert_array_equal(fit, local_fit(ShardLoss(loss.model, loss.shard)))
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_a_nonfinite_theta_at_a_new_point_raises(self, family):
+        loss, rng = family_loss(family, 64, 3, 35)
+        theta = 0.3 * rng.standard_normal(3)
+        want = loss.eval(theta, 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            spoiled = theta.copy()
+            spoiled[1] = bad
+            for call in (lambda t: loss.eval(t, 0), loss.gradient, loss.per_sample):
+                with pytest.raises(DataError, match="non-finite"):
+                    call(spoiled)
+        for got, w in zip(loss.eval(theta, 2), want):  # the remembered point holds
+            assert np.asarray(got).tobytes() == np.asarray(w).tobytes()
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_a_wrong_shape_with_the_remembered_bytes_raises(self, family):
+        loss, rng = family_loss(family, 64, 4, 36)
+        theta = 0.3 * rng.standard_normal(4)
+        loss.eval(theta, 1)
+        for shaped in (theta.reshape(1, 4), theta.reshape(2, 2), theta.reshape(4, 1)):
+            assert shaped.tobytes() == theta.tobytes()
+            for call in (lambda t: loss.eval(t, 1), loss.gradient, loss.per_sample):
+                with pytest.raises(DataError, match=r"theta has shape"):
+                    call(shaped)
+
+    @pytest.mark.parametrize("transport_", ["in_process", "tcp"])
+    def test_a_gradient_round_checks_theta_before_any_request(self, transport_,
+                                                              monkeypatch):
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((3 * 40, 3))
+        y = (rng.uniform(size=120) < 0.5).astype(float)
+        sent = []
+        real = transport.WorkerClient.send_gradient_request
+        monkeypatch.setattr(transport.WorkerClient, "send_gradient_request",
+                            lambda client, theta: (sent.append(theta), real(client, theta)))
+        with Cluster.from_pooled(LossModel.logistic(), x, y, 3,
+                                 transport=transport_) as cluster:
+            theta = np.array([0.1, -0.2, 0.3])
+            cluster.gradient_round(theta)
+            ledger, requests = cluster.ledger.copy(), len(sent)
+            for bad in (np.array([0.1, np.nan, 0.3]), np.array([np.inf, 0.0, 0.0]),
+                        theta.reshape(1, 3)):
+                with pytest.raises(DataError):
+                    cluster.gradient_round(bad)
+            assert cluster.ledger == ledger and len(sent) == requests
+            cluster.gradient_round(theta)  # the workers are still in step
+
+
+def counting_scans(monkeypatch):
+    """Count the finiteness scans of shard arrays from here on."""
+    real, scans = csl.losses._check_finite, []
+
+    def counted(*arrays):
+        scans.append(arrays)
+        return real(*arrays)
+
+    monkeypatch.setattr(csl.losses, "_check_finite", counted)
+    return scans
+
+
+def assert_frozen_block(shard):
+    for a in (shard.x, shard.y):
+        assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+
+
+class TestCheckedOnce:
+    def test_caller_arrays_split_rows_and_the_wire_are_scanned(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        x, y = rng.standard_normal((12, 3)), rng.standard_normal(12)
+        scans = counting_scans(monkeypatch)
+        DataShard(x=x, y=y)
+        assert len(scans) == 1
+        split_rows(x, y, 4)
+        assert len(scans) == 5
+        shard = DataShard(x=x[:4], y=y[:4])
+        payload = b"".join([transport._SHAPE.pack(4, 3), shard.y.tobytes(), shard.x.tobytes()])
+        decoded = transport._decode_shard(np.frombuffer(payload, np.uint8).copy())
+        assert len(scans) == 7
+        assert decoded.x.tobytes() == shard.x.tobytes()
+
+    @pytest.mark.parametrize("tiled", [True, False])
+    def test_pooled_shards_are_not_rescanned(self, monkeypatch, tiled):
+        rng = np.random.default_rng(39)
+        x, y = rng.standard_normal((12, 3)), rng.standard_normal(12)
+        shards = (split_rows(x, y, 3) if tiled else
+                  [DataShard(x=x[j::3], y=y[j::3]) for j in range(3)])
+        cluster = Cluster(LossModel.linear(), shards)
+        scans = counting_scans(monkeypatch)
+        for meter in (True, False):
+            pooled = cluster.pooled_shard(meter=meter)
+            assert_frozen_block(pooled)
+            assert pooled.x.tobytes() == np.concatenate([s.x for s in shards]).tobytes()
+            assert pooled.y.tobytes() == np.concatenate([s.y for s in shards]).tobytes()
+        assert scans == []
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_a_column_slice_is_not_rescanned_or_revalidated(self, monkeypatch, family):
+        loss, _ = family_loss(family, 30, 6, 40)
+        scans = counting_scans(monkeypatch)
+        validated = []
+        monkeypatch.setattr(LossModel, "validate_response",
+                            lambda model, y: validated.append(y))
+        part = loss.restrict(np.array([0, 2, 5]))
+        assert scans == [] and validated == []
+        assert part.model is loss.model and part.shard.y is loss.shard.y
+        assert_frozen_block(part.shard)
+        np.testing.assert_array_equal(part.shard.x, loss.shard.x[:, [0, 2, 5]])
 
 
 class TestValidation:

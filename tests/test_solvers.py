@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from conftest import gd_minimize
 
+import csl.solvers
+from csl.cluster import Cluster
+from csl.datagen import gen_logistic
 from csl.errors import DataError, NonConvergenceError
+from csl.experiments import ExperimentConfig, _mest_trial
 from csl.losses import DataShard, LossModel, ShardLoss
-from csl.solvers import SolverSettings, local_fit, newton_minimize
+from csl.solvers import SolverSettings, local_fit, newton_minimize, run_fit
 
 
 def quadratic_objective(target):
@@ -199,3 +203,55 @@ class TestErrorPaths:
         with pytest.raises(NonConvergenceError, match="heavy damping") as info:
             newton_minimize(objective, np.zeros(2))
         assert info.value.gradient_norm == 1.0
+
+
+def counting_newton(monkeypatch):
+    """Count the Newton fits run through :mod:`csl.solvers` from here on."""
+    real, fits = csl.solvers.newton_minimize, []
+
+    def counted(objective, theta0, settings=SolverSettings()):
+        fits.append(settings)
+        return real(objective, theta0, settings)
+
+    monkeypatch.setattr(csl.solvers, "newton_minimize", counted)
+    return fits
+
+
+class TestFitMemory:
+    def test_a_repeated_request_is_fitted_once_and_copied(self, monkeypatch):
+        data, _ = gen_logistic(3, 200, 71)
+        model = LossModel.logistic()
+        fits = counting_newton(monkeypatch)
+        first = run_fit(SolverSettings(), ShardLoss(model, data))
+        kept = first.copy()
+        first[:] = np.nan
+        # a new evaluator on the same shard reads the shard's fit
+        again = run_fit(SolverSettings(), ShardLoss(model, data))
+        assert len(fits) == 1
+        assert again.tobytes() == kept.tobytes() == local_fit(ShardLoss(model, data)).tobytes()
+        tighter = SolverSettings(grad_tol=1e-12)
+        run_fit(tighter, ShardLoss(model, data))
+        assert fits[1:] == [SolverSettings(), tighter]  # local_fit, then the new request
+
+    def test_a_fit_that_raises_is_not_remembered(self, monkeypatch):
+        # separable labels: every Newton fit exhausts its budget
+        x = np.concatenate([np.ones((20, 1)), -np.ones((20, 1))])
+        loss = ShardLoss(LossModel.logistic(),
+                         DataShard(x=x, y=np.repeat([1.0, 0.0], 20)))
+        fits = counting_newton(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError):
+                run_fit(SolverSettings(max_iters=3), loss)
+        assert len(fits) == 2
+
+    def test_an_mest_trial_runs_one_newton_fit_fewer(self, monkeypatch):
+        n, k = 200, 3
+        data, theta_star = gen_logistic(3, n * k, 73)
+        cluster = Cluster.from_pooled(LossModel.logistic(), data.x, data.y, k)
+        config = ExperimentConfig(experiment="MestSweepK", d=3, n_values=(n,),
+                                  k_values=(k,), trials=1)
+        fits = counting_newton(monkeypatch)
+        _mest_trial(config, cluster, theta_star, 1, lambda *row: None)
+        # the pooled fit and the k local fits; the subsample fit is the
+        # coordinator's fit of the averaging round
+        assert len(fits) == k + 1

@@ -4,11 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import csl.solvers
+import csl.sparse
 from csl.cluster import Cluster, CommLedger
 from csl.datagen import derive_rng, gen_sparse_linear
 from csl.errors import DataError, NonConvergenceError
+from csl.experiments import ExperimentConfig, _lasso_trial
 from csl.losses import DataShard, LossModel, ShardLoss
-from csl.solvers import (L1Settings, _stationarity_ok, _working_set_lasso, fista_l1,
+from csl.solvers import (L1Settings, LassoFit, _stationarity_ok, _working_set_lasso, fista_l1,
                          lambda_heuristic, soft_threshold)
 from csl.sparse import averaging_lasso, csl_lasso, local_lasso
 from csl.surrogate import build_surrogate
@@ -303,6 +306,80 @@ def assert_restriction_matches(loss, columns, theta):
     assert part[0] == pytest.approx(full[0], rel=1e-12)
     np.testing.assert_allclose(part[1], full[1][columns], rtol=1e-12,
                                atol=1e-12 * np.abs(full[1]).max())
+
+
+def count_calls(monkeypatch, module, name, calls):
+    """Wrap ``module.name`` so that each call appends its first argument."""
+    real = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def assert_same_fit(a, b):
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert (a.objective_value, a.iterations, a.converged) == \
+        (b.objective_value, b.iterations, b.converged)
+
+
+class TestFitMemory:
+    def test_a_repeated_request_runs_no_fista_and_returns_the_same_bits(self, monkeypatch):
+        shard = wide_shard()
+        first = local_lasso(LossModel.linear(), shard, lam=0.2)
+        fistas = []
+        count_calls(monkeypatch, csl.solvers, "fista_l1", fistas)
+        again = local_lasso(LossModel.linear(), shard, lam=0.2)
+        assert fistas == []
+        assert_same_fit(again, first)
+        assert again.theta is not first.theta
+
+    def test_changing_a_returned_fit_changes_no_later_result(self):
+        cluster, _ = sparse_cluster(k=3)
+        first = local_lasso(cluster.model, cluster.shards[0], lam=0.3)
+        kept = first.theta.copy()
+        first.theta[:] = np.nan
+        from_round = averaging_lasso(cluster, lam=0.3)  # reads shard 1's remembered fit
+        coordinator = cluster.local_minimizer_round(LassoFit(0.3))[0]
+        assert coordinator.theta.tobytes() == kept.tobytes()
+        coordinator.theta[:] = np.nan
+        assert local_lasso(cluster.model, cluster.shards[0], lam=0.3).theta.tobytes() \
+            == kept.tobytes()
+        assert np.isfinite(from_round.theta).all()
+
+    def test_another_penalty_settings_or_model_refits(self, monkeypatch):
+        rng = derive_rng(61, "memo-models")
+        x = rng.normal(size=(60, 12))
+        shard = DataShard(x=x, y=(x[:, 0] + rng.normal(size=60) > 0).astype(float))
+        local_lasso(LossModel.linear(), shard, lam=0.05)
+        fistas = []
+        count_calls(monkeypatch, csl.solvers, "fista_l1", fistas)
+        for model, lam, settings in [(LossModel.linear(), 0.06, L1Settings()),
+                                     (LossModel.linear(), 0.05, L1Settings(tol=1e-9)),
+                                     (LossModel.logistic(), 0.05, L1Settings())]:
+            fresh = _working_set_lasso(ShardLoss(model, shard), lam, np.zeros(12), settings)
+            before = len(fistas)
+            assert_same_fit(local_lasso(model, shard, lam=lam, settings=settings), fresh)
+            assert len(fistas) > before
+
+    def test_a_lasso_trial_fits_the_coordinator_lasso_once(self, monkeypatch):
+        n, k = 40, 3
+        shards, theta_star = gen_sparse_linear(d=20, n=n, k=k, s=10, sigma=1.0,
+                                               seed_or_rng=67)
+        cluster = Cluster(LossModel.linear(), shards)
+        config = ExperimentConfig(experiment="LassoFixedn", d=20, n_values=(n,),
+                                  k_values=(k,), trials=1)
+        fitted = []
+        count_calls(monkeypatch, csl.solvers, "_working_set_lasso", fitted)
+        count_calls(monkeypatch, csl.sparse, "_working_set_lasso", fitted)
+        _lasso_trial(config, cluster, theta_star, 1, lambda *row: None)
+        # k + 2 fits, not k + 3: the pooled lasso, then at shard scale the
+        # coordinator's own lasso (which the round reuses), the surrogate
+        # lasso, and the round's k - 1 other shards
+        sizes = sorted(getattr(loss, "loss", loss).shard.n_samples for loss in fitted)
+        assert sizes == [n] * (k + 1) + [n * k]
 
 
 class TestRestrict:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csl import transport
+from csl import solvers, transport
 from csl.cluster import Cluster
 from csl.datagen import gen_logistic, gen_sparse_linear
 from csl.errors import DataError, NonConvergenceError, WorkerError
@@ -359,7 +359,7 @@ class TestShardPlacement:
 
 
 class TestTcpCluster:
-    def test_tcp_matches_in_process_bitwise(self):
+    def test_tcp_matches_in_process_bitwise(self, monkeypatch):
         pooled, _ = gen_logistic(4, 60 * 3, 5)
         model = LossModel.logistic()
         with Cluster.from_pooled(model, pooled.x, pooled.y, 3, transport="tcp") as over_tcp:
@@ -375,6 +375,24 @@ class TestTcpCluster:
             for a, b in zip(fits_tcp, fits_plain, strict=True):
                 assert a.tobytes() == b.tobytes()
             assert over_tcp.ledger == plain.ledger
+            # the second identical round reads every shard's remembered fit,
+            # and still sends every request and counts every reply
+            fistas = []
+            real_fista = solvers.fista_l1
+            monkeypatch.setattr(solvers, "fista_l1",
+                                lambda *args: (fistas.append(args), real_fista(*args))[1])
+            for runs in range(2):
+                fistas.clear()
+                before = over_tcp.ledger.vectors_sent
+                lasso_tcp = averaging_lasso(over_tcp, lam=0.02)
+                lasso_plain = averaging_lasso(plain, lam=0.02)
+                assert over_tcp.ledger.vectors_sent - before == 2
+                assert lasso_tcp.theta.tobytes() == lasso_plain.theta.tobytes()
+                assert (lasso_tcp.objective_value, lasso_tcp.iterations, lasso_tcp.converged) \
+                    == (lasso_plain.objective_value, lasso_plain.iterations,
+                        lasso_plain.converged)
+                assert over_tcp.ledger == plain.ledger
+                assert (fistas == []) == (runs == 1)
 
     def test_tcp_matches_in_process_bitwise_at_the_benchmark_shape(self):
         # k=3 shards of 16 384 rows at d=10: the workers' fits run at once

@@ -1,22 +1,20 @@
 """Loss families evaluated on data shards.
 
 Every loss is an empirical mean over one shard: unhalved squared error, or
-the logistic or Poisson negative log-likelihood, each a canonical generalized
-linear model written as ``mean(-y*u + phi(u))`` with ``u = x @ theta``.
-:class:`ShardLoss` binds a model to a shard, checks the response once, and
-returns the value, gradient and Hessian up to a requested order. It remembers
-its last point, so each of them, ``u`` and the link's one exponential are
-computed at most once per point. An evaluator holds its own scratch vectors,
-so a value allocates no n-length array, and one evaluator must not be called
-from two threads at once. All evaluations are plain numpy; nothing here talks
-to the cluster or the ledger.
+the logistic negative log-likelihood ``mean(softplus(u) - y*u)`` with
+``u = x @ theta``. :class:`ShardLoss` binds a model to a shard, checks the
+response once, and returns the value, gradient and Hessian up to a requested
+order. It remembers its last point, so each of them, ``u`` and the logistic
+loss's one exponential ``exp(-|u|)`` are computed at most once per point. An
+evaluator holds its own scratch vectors, so a value allocates no n-length
+array, and one evaluator must not be called from two threads at once. All
+evaluations are plain numpy; nothing here talks to the cluster or the ledger.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +26,7 @@ __all__ = [
     "ShardLoss",
     "shard_to_csv",
     "sigmoid",
-    "softplus",
 ]
-
-
-def softplus(u: np.ndarray) -> np.ndarray:
-    """log(1 + exp(u)) as max(u, 0) + log1p(exp(-|u|)), which cannot overflow."""
-    u = np.asarray(u, dtype=np.float64)
-    e = _exp_neg_abs(u)
-    return _softplus(u, e, work=e)
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -45,11 +35,13 @@ def sigmoid(u: np.ndarray) -> np.ndarray:
     return _sigmoid(u, _exp_neg_abs(u))
 
 
+# The logistic kernels take u and e = exp(-|u|), which _exp_neg_abs makes and
+# which cannot overflow. _softplus writes into ``out`` and uses ``work``.
 def _exp_neg_abs(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.exp(np.negative(np.abs(u, out=out), out=out), out=out)
 
 
-def _softplus(u, e, out=None, work=None):
+def _softplus(u, e, out, work):  # log(1 + exp(u)) as max(u, 0) + log1p(e)
     out = np.maximum(u, 0.0, out=out)
     return np.add(out, np.log1p(e, out=work), out=out)
 
@@ -62,70 +54,28 @@ def _logistic_weight(u, e):  # sigmoid(u) * sigmoid(-u)
     return e / np.square(1.0 + e)
 
 
-def _exp(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp, silent on overflow: the Newton line search rejects the infinity."""
-    with np.errstate(over="ignore"):
-        return np.exp(u, out=out)
-
-
-def _core_itself(u, e, out=None, work=None):
-    return e
-
-
-@dataclass(frozen=True)
-class Link:
-    """Canonical cumulant of a GLM family and its first two derivatives, each
-    a function of u and the point's one core vector ``e = core(u, out)``:
-    exp(-|u|) for the logit, exp(u) for the log link. ``phi(u, e, out, work)``
-    may write into ``out`` and use ``work`` as scratch; the derivatives'
-    arrays are only read, and any of the three may be ``e`` itself."""
-
-    core: Callable[..., np.ndarray]
-    phi: Callable[..., np.ndarray]
-    phi_prime: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    phi_double: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    binary_response: bool = False
-    nonnegative_response: bool = False
-
-
-_LOGIT = Link(core=_exp_neg_abs, phi=_softplus, phi_prime=_sigmoid,
-              phi_double=_logistic_weight, binary_response=True)
-_LOG = Link(core=_exp, phi=_core_itself, phi_prime=_core_itself, phi_double=_core_itself,
-            nonnegative_response=True)
-
-
 @dataclass(frozen=True)
 class LossModel:
-    """A loss family. Construct via :meth:`logistic`, :meth:`poisson` or
-    :meth:`linear`.
+    """A loss family. Construct via :meth:`logistic` or :meth:`linear`.
 
-    ``logistic()`` is the GLM with the logit link and ``poisson()`` the GLM
-    with the log link; ``linear()`` is the unhalved squared error
-    ``mean((y - u)**2)`` whose gradient therefore carries a factor 2.
+    ``logistic()`` is the GLM with the logit link, for labels in {0, 1};
+    ``linear()`` is the unhalved squared error ``mean((y - u)**2)`` whose
+    gradient therefore carries a factor 2.
     """
 
     family: str
-    link: Link | None = field(default=None)
 
     @classmethod
     def logistic(cls) -> "LossModel":
-        return cls(family="logistic", link=_LOGIT)
-
-    @classmethod
-    def poisson(cls) -> "LossModel":
-        return cls(family="poisson", link=_LOG)
+        return cls(family="logistic")
 
     @classmethod
     def linear(cls) -> "LossModel":
-        return cls(family="linear", link=None)
+        return cls(family="linear")
 
     def validate_response(self, y: np.ndarray) -> None:
-        if self.link is not None and self.link.binary_response:
-            if not np.all((y == 0.0) | (y == 1.0)):
-                raise DataError("binary-response loss requires labels in {0, 1}")
-        if self.link is not None and self.link.nonnegative_response:
-            if np.any(y < 0.0):
-                raise DataError("count-response loss requires nonnegative labels")
+        if self.family == "logistic" and not np.all((y == 0.0) | (y == 1.0)):
+            raise DataError("binary-response loss requires labels in {0, 1}")
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -139,8 +89,9 @@ def _check_finite(*arrays: np.ndarray) -> None:
 class DataShard:
     """An immutable (x, y) block of samples; one machine's local data.
 
-    Arrays are cast to float64, checked and frozen. Rows are samples. The
-    shard keeps the fits :func:`~csl.solvers.run_fit` finished on it.
+    Arrays are cast to float64, checked and frozen; when one is a view, the
+    array it views is frozen too. Rows are samples. The shard keeps the fits
+    :func:`~csl.solvers.run_fit` finished on it.
     """
 
     x: np.ndarray
@@ -166,8 +117,12 @@ class DataShard:
         return shard
 
     def _freeze(self, x: np.ndarray, y: np.ndarray) -> None:
-        x.flags.writeable = False
-        y.flags.writeable = False
+        # A view's base is frozen too: a write there would change the shard
+        # under the fits it keeps.
+        for a in (x, y):
+            a.flags.writeable = False
+            if isinstance(a.base, np.ndarray):
+                a.base.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "_fits", {})  # (model, request) -> finished fit
@@ -188,13 +143,13 @@ class ShardLoss:
     Binding checks the response against the model; shard arrays are
     read-only, so the check holds for the evaluator's lifetime. Every call
     checks theta's shape, and at a new point its finiteness. The family
-    branch, squared error or a canonical GLM cumulant, lives here and nowhere
+    branch, squared error or the logistic kernels, lives here and nowhere
     else.
 
     It remembers its last point, keyed on the bytes of theta so that an array
-    changed in place is a new point. There it keeps ``u = x @ theta`` and the
-    link's core vector in its own buffers, and the value, gradient and Hessian
-    once asked for. A value allocates no n-length array; every returned array
+    changed in place is a new point. There it keeps ``u = x @ theta`` and, for
+    the logistic loss, ``exp(-|u|)`` in its own buffers, and the value,
+    gradient and Hessian once asked for. A value allocates no n-length array; every returned array
     is fresh. One evaluator must not be called from two threads at once: each
     TCP worker binds its own, and the coordinator's run on its thread only.
     """
@@ -208,7 +163,8 @@ class ShardLoss:
         self.shard = shard
         n = shard.n_samples
         self._u, self._v, self._work = np.empty(n), np.empty(n), np.empty(n)
-        self._core = None if model.link is None else np.empty(n)
+        self._logit = model.family == "logistic"
+        self._e = np.empty(n) if self._logit else None
         self._key = self._value = self._grad = self._hess = None
         self._zero_key = bytes(8 * shard.n_features)
 
@@ -232,7 +188,7 @@ class ShardLoss:
 
     def _at(self, theta: np.ndarray) -> "ShardLoss":
         """Check theta's shape, and at a new point its finiteness too; there,
-        compute u and the core vector. The remembered point passed that check."""
+        compute u and exp(-|u|). The remembered point passed that check."""
         theta = np.asarray(theta, dtype=np.float64)
         key = theta.tobytes()
         new = key != self._key
@@ -244,22 +200,21 @@ class ShardLoss:
                 self._u.fill(0.0)
             else:
                 np.matmul(self.shard.x, theta, out=self._u)
-            if self.model.link is not None:
-                self.model.link.core(self._u, out=self._core)
+            if self._logit:
+                _exp_neg_abs(self._u, out=self._e)
             self._key = key
         return self
 
     def _mean(self) -> np.ndarray:
-        link = self.model.link
-        return self._u if link is None else link.phi_prime(self._u, self._core)
+        return _sigmoid(self._u, self._e) if self._logit else self._u
 
     def _gradient(self) -> np.ndarray:
         if self._grad is None:
             x, n = self.shard.x, self.shard.n_samples
             excess = np.subtract(self._mean(), self.shard.y, out=self._v)
             # np.dot, not @: with a transposed operand only np.dot releases the GIL.
-            self._grad = ((2.0 / n) * np.dot(x.T, excess) if self.model.link is None
-                          else np.dot(x.T, excess) / n)
+            self._grad = (np.dot(x.T, excess) / n if self._logit
+                          else (2.0 / n) * np.dot(x.T, excess))
         return self._grad.copy()
 
     def eval(self, theta: np.ndarray, order: int) -> tuple:
@@ -269,27 +224,26 @@ class ShardLoss:
             raise DataError(f"order must be 0, 1 or 2, got {order!r}")
         self._at(theta)
         x, y, n, u = self.shard.x, self.shard.y, self.shard.n_samples, self._u
-        link = self.model.link
         if self._value is None:
             # Every intermediate goes into the scratch vectors, in the order of
-            # mean(r*r) or mean(phi(u) - y*u); add.reduce is np.mean's sum.
+            # mean(softplus(u) - y*u) or mean(r*r); add.reduce is np.mean's sum.
             v, work = self._v, self._work
-            if link is None:
+            if self._logit:
+                phi = _softplus(u, self._e, v, work)
+                np.subtract(phi, np.multiply(y, u, out=work), out=v)
+            else:
                 np.subtract(y, u, out=v)
                 np.multiply(v, v, out=v)
-            else:
-                phi = link.phi(u, self._core, out=v, work=work)
-                np.subtract(phi, np.multiply(y, u, out=work), out=v)
             self._value = float(np.add.reduce(v)) / n
         if order == 0:
             return (self._value,)
         grad = self._gradient()
         if order == 1:
             return self._value, grad
-        if self._hess is None:  # the einsum is x * phi''[:, None], bit for bit
+        if self._hess is None:  # the einsum is x * weight[:, None], bit for bit
             # np.dot, not @: with a transposed operand only np.dot releases the GIL.
-            self._hess = ((2.0 / n) * np.dot(x.T, x) if link is None else np.dot(
-                np.einsum("ij,i->ij", x, link.phi_double(u, self._core)).T, x) / n)
+            self._hess = (np.dot(np.einsum("ij,i->ij", x, _logistic_weight(u, self._e)).T, x)
+                          / n if self._logit else (2.0 / n) * np.dot(x.T, x))
         return self._value, grad, self._hess.copy()
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
@@ -304,7 +258,7 @@ class ShardLoss:
         order; squared error carries its factor 2.
         """
         excess = self._at(theta)._mean() - self.shard.y
-        if self.model.link is None:
+        if not self._logit:
             excess = 2.0 * excess
         return self.shard.x * excess[:, None]
 

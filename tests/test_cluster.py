@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from csl.cluster import CommLedger, Cluster, split_rows
-from csl.datagen import gen_logistic
+from csl.datagen import gen_logistic, gen_sparse_linear
 from csl.errors import ConfigError, DataError
 from csl.losses import DataShard, LossModel, ShardLoss
 from csl.solvers import LassoFit, SolverSettings, run_fit
+from csl.sparse import local_lasso
 
 
 def make_cluster(k, n=32, d=3, seed=0):
@@ -109,7 +110,7 @@ class TestLedger:
         x, y = rng.standard_normal((12, 2)), rng.standard_normal(12)
         pooled = self._pool(split_rows(x, y, 4), 4)
         assert np.shares_memory(pooled.x, x) and np.shares_memory(pooled.y, y)
-        assert x.flags.writeable and y.flags.writeable  # the base keeps its flags
+        assert not x.flags.writeable and not y.flags.writeable  # a shard froze its base
 
     def test_pooled_shards_that_do_not_tile_one_array_are_copied(self):
         rng = np.random.default_rng(4)
@@ -137,6 +138,52 @@ class TestLedger:
         cluster.gradient_round(np.zeros(3))
         assert before.vectors_sent == 0
         assert cluster.ledger.vectors_sent == 2
+
+
+class TestFrozenBase:
+    @staticmethod
+    def _first_shard(make):
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal((40, 3)), rng.standard_normal(40)
+        if make == "view":
+            return DataShard(x=x[:20], y=y[:20])
+        if make == "split_rows":
+            return split_rows(x, y, 2)[0]
+        if make == "from_pooled":
+            return Cluster.from_pooled(LossModel.linear(), x, y, 2).shards[0]
+        return gen_sparse_linear(d=3, n=20, k=2, s=2, sigma=0.5, seed_or_rng=rng)[0][0]
+
+    @pytest.mark.parametrize("make", ["view", "split_rows", "from_pooled",
+                                      "gen_sparse_linear"])
+    def test_a_write_to_the_viewed_array_cannot_leave_a_stale_fit(self, make):
+        # The shard keeps its finished fits, so a write to the array its rows
+        # view would make the next fit return the old theta: the write fails.
+        shard = self._first_shard(make)
+        local_lasso(LossModel.linear(), shard, lam=0.05)  # the shard keeps this fit
+        for base in (shard.x.base, shard.y.base):
+            with pytest.raises(ValueError, match="read-only"):
+                base[:20] *= -1.0
+        fresh = DataShard(x=shard.x.copy(), y=shard.y.copy())
+        assert (local_lasso(LossModel.linear(), shard, lam=0.05).theta.tobytes()
+                == local_lasso(LossModel.linear(), fresh, lam=0.05).theta.tobytes())
+
+
+    @pytest.mark.parametrize("make", ["strided", "integer", "fortran"])
+    def test_a_copied_input_stays_writeable_and_cannot_reach_the_shard(self, make):
+        # The cast or contiguous copy is what the shard holds and freezes.
+        rng = np.random.default_rng(7)
+        wide, y = rng.standard_normal((20, 6)), rng.standard_normal(40)[::2]
+        x = {"strided": wide[:, ::2], "integer": rng.integers(-5, 5, (20, 3)),
+             "fortran": np.asfortranarray(wide[:, :3])}[make]
+        shard = DataShard(x=x, y=y)
+        kept = shard.x.copy(), shard.y.copy()
+        assert not np.shares_memory(shard.x, x) and not np.shares_memory(shard.y, y)
+        x[...] = 0
+        y[...] = 0.0
+        np.testing.assert_array_equal(shard.x, kept[0])
+        np.testing.assert_array_equal(shard.y, kept[1])
+        with pytest.raises(ValueError, match="read-only"):
+            shard.x[0, 0] = 1.0
 
 
 class TestGradientRound:

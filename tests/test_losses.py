@@ -12,19 +12,22 @@ import csl.losses
 from csl import transport
 from csl.cluster import Cluster, split_rows
 from csl.errors import DataError
-from csl.losses import DataShard, LossModel, ShardLoss, shard_to_csv, sigmoid, softplus
+from csl.losses import DataShard, LossModel, ShardLoss, shard_to_csv, sigmoid
 from csl.solvers import local_fit, newton_minimize
 
 
-def random_shard(rng, n, d, binary=False, counts=False):
+def random_shard(rng, n, d, binary=False):
     x = rng.standard_normal((n, d))
     if binary:
         y = (rng.uniform(size=n) < 0.5).astype(float)
-    elif counts:
-        y = rng.poisson(2.0, size=n).astype(float)
     else:
         y = rng.standard_normal(n)
     return DataShard(x=x, y=y)
+
+
+def softplus(u):
+    """The logistic value's kernel, from e = exp(-|u|) as the evaluator has it."""
+    return csl.losses._softplus(u, np.exp(-np.abs(u)), None, None)
 
 
 class TestValues:
@@ -50,7 +53,7 @@ class TestValues:
 
 
 class TestDerivativeOracles:
-    @pytest.mark.parametrize("family", ["logistic", "linear", "poisson"])
+    @pytest.mark.parametrize("family", ["logistic", "linear"])
     def test_gradient_matches_finite_differences(self, family):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -58,10 +61,8 @@ class TestDerivativeOracles:
             n = int(rng.integers(5, 40))
             if family == "logistic":
                 model, shard = LossModel.logistic(), random_shard(rng, n, d, binary=True)
-            elif family == "linear":
-                model, shard = LossModel.linear(), random_shard(rng, n, d)
             else:
-                model, shard = LossModel.poisson(), random_shard(rng, n, d, counts=True)
+                model, shard = LossModel.linear(), random_shard(rng, n, d)
             theta = 0.5 * rng.standard_normal(d)
             loss = ShardLoss(model, shard)
             grad = loss.eval(theta, 1)[1]
@@ -165,12 +166,11 @@ class TestKernels:
         want[~pos] = np.exp(u[~pos]) / (1.0 + np.exp(u[~pos]))
         assert np.max(np.abs(sigmoid(u) - want) / want) <= 1e-15
 
-    @pytest.mark.parametrize("model", [LossModel.logistic(), LossModel.linear(),
-                                       LossModel.poisson()], ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", [LossModel.logistic(), LossModel.linear()],
+                             ids=lambda m: m.family)
     def test_orders_share_one_pass(self, model):
         rng = np.random.default_rng(13)
-        shard = random_shard(rng, 30, 3, binary=model.family == "logistic",
-                             counts=model.family == "poisson")
+        shard = random_shard(rng, 30, 3, binary=model.family == "logistic")
         loss = ShardLoss(model, shard)
         theta = 0.3 * rng.standard_normal(3)
         (v0,) = loss.eval(theta, 0)
@@ -194,25 +194,20 @@ def plain_expressions(family, shard, theta):
         mean = u
         return (float(np.mean(r * r)), (2.0 / n) * (x.T @ (mean - y)),
                 (2.0 / n) * (x.T @ x), x * (2.0 * (mean - y))[:, None])
-    if family == "logistic":
-        e = np.exp(-np.abs(u))
-        phi = np.maximum(u, 0.0) + np.log1p(e)
-        mean = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
-        weight = e / np.square(1.0 + e)
-    else:
-        phi = mean = weight = np.exp(u)
+    e = np.exp(-np.abs(u))
+    phi = np.maximum(u, 0.0) + np.log1p(e)
+    mean = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+    weight = e / np.square(1.0 + e)
     return (float(np.mean(phi - y * u)), (x.T @ (mean - y)) / n,
             (x * weight[:, None]).T @ x / n, x * (mean - y)[:, None])
 
 
-FAMILIES = {"logistic": LossModel.logistic(), "linear": LossModel.linear(),
-            "poisson": LossModel.poisson()}
+FAMILIES = {"logistic": LossModel.logistic(), "linear": LossModel.linear()}
 
 
 def family_loss(family, n, d, seed):
     rng = np.random.default_rng(seed)
-    shard = random_shard(rng, n, d, binary=family == "logistic",
-                         counts=family == "poisson")
+    shard = random_shard(rng, n, d, binary=family == "logistic")
     return ShardLoss(FAMILIES[family], shard), rng
 
 
@@ -250,6 +245,19 @@ class TestBuffers:
             item[...] = np.nan
         assert loss.eval(theta, 0) == (value,)
         np.testing.assert_array_equal(loss.per_sample(theta), kept[4])
+
+    @pytest.mark.parametrize("scale", [10.0, 40.0, 800.0])
+    def test_logistic_outputs_equal_the_plain_expressions_at_large_margins(self, scale):
+        # |u| from tens to thousands: exp(-|u|) runs through the subnormals to
+        # zero, where the value is max(u, 0) and the Hessian weight vanishes.
+        loss, rng = family_loss("logistic", 257, 3, 24)
+        for theta in [scale * rng.standard_normal(3) for _ in range(3)]:
+            value, grad, hess, rows = (np.asarray(a).tobytes() for a in
+                                       plain_expressions("logistic", loss.shard, theta))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = loss.eval(theta, 2) + (loss.per_sample(theta),)
+            assert [np.asarray(a).tobytes() for a in got] == [value, grad, hess, rows]
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_value_allocates_no_n_vector(self, family):
@@ -467,6 +475,32 @@ class TestValidation:
         with pytest.raises(DataError):
             ShardLoss(LossModel.logistic(), shard)
 
+    @pytest.mark.parametrize("label", [-1.0, 2.0, np.nextafter(1.0, 0.0),
+                                       np.nextafter(1.0, 2.0), 5e-324],
+                             ids=["minus_one", "two", "below_one", "above_one", "subnormal"])
+    def test_logistic_rejects_any_label_but_zero_and_one(self, label):
+        shard = DataShard(x=np.ones((3, 1)), y=np.array([0.0, 1.0, label]))
+        with pytest.raises(DataError, match=r"labels in \{0, 1\}"):
+            ShardLoss(LossModel.logistic(), shard)
+
+    def test_logistic_takes_a_negative_zero_label_as_zero(self):
+        x = np.array([[0.5], [-1.0], [2.0]])
+        signed = ShardLoss(LossModel.logistic(), DataShard(x=x, y=np.array([-0.0, 1.0, 0.0])))
+        plain = ShardLoss(LossModel.logistic(), DataShard(x=x, y=np.array([0.0, 1.0, 0.0])))
+        theta = np.array([0.7])
+        for got, want in zip(signed.eval(theta, 2), plain.eval(theta, 2)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("y", [[-3.5, 0.25, -7.0], [2.0, 2.0, 2.0]],
+                             ids=["negative", "constant"])
+    def test_linear_takes_any_finite_response(self, y):
+        # the binary check is the logistic family's only
+        shard = DataShard(x=np.array([[1.0], [2.0], [-1.0]]), y=np.array(y))
+        value, grad = ShardLoss(LossModel.linear(), shard).eval(np.array([0.5]), 1)
+        r = shard.y - 0.5 * shard.x[:, 0]
+        assert value == pytest.approx(np.mean(r * r))
+        assert np.isfinite(grad).all()
+
     def test_shard_rejects_nonfinite(self):
         # float64's extremes pass; one NaN or infinity among them is caught
         # in either array
@@ -490,6 +524,12 @@ class TestValidation:
         shard = DataShard(x=np.ones((2, 2)), y=np.zeros(2))
         with pytest.raises(ValueError):
             shard.x[0, 0] = 5.0
+
+
+def test_public_names_resolve():
+    assert "softplus" not in csl.losses.__all__
+    for name in csl.losses.__all__:
+        assert getattr(csl.losses, name) is not None
 
 
 def test_csv_round_trip_is_exact():

@@ -83,15 +83,36 @@ def test_separable_logistic_raises_nonconvergence_with_payload():
     assert err.iterations == 8
 
 
+def poisson_objective(x, y):
+    """The Poisson negative log-likelihood mean(exp(u) - y*u), u = x @ theta,
+    as plain numpy, with the values of the order-0 calls logged. exp
+    overflows to inf silently."""
+    n, candidates = len(y), []
+
+    def objective(theta, order):
+        u = x @ theta
+        with np.errstate(over="ignore"):
+            mu = np.exp(u)
+        value = float(np.mean(mu - y * u))
+        if order == 0:
+            candidates.append(value)
+        derivatives = (x.T @ (mu - y) / n, (x * mu[:, None]).T @ x / n) if order else ()
+        return (value, *derivatives[:order])
+
+    return objective, candidates
+
+
 def test_nonfinite_candidate_is_backtracked_not_fatal():
-    # Poisson loss overflows for big steps; the line search has to shrink past
-    # the overflow instead of crashing.
+    # Counts near 1000 with an intercept: the first full Newton step from zero
+    # puts u near 1000, where exp overflows. The line search has to shrink
+    # past the overflow instead of crashing.
     rng = np.random.default_rng(23)
-    x = rng.standard_normal((50, 2))
-    y = rng.poisson(1.5, size=50).astype(float)
-    shard = DataShard(x=x, y=y)
-    fit = local_fit(ShardLoss(LossModel.poisson(), shard))
-    value, grad = ShardLoss(LossModel.poisson(), shard).eval(fit, 1)
+    x = np.column_stack([np.ones(50), rng.standard_normal(50)])
+    y = rng.poisson(1000.0, size=50).astype(float)
+    objective, candidates = poisson_objective(x, y)
+    fit = newton_minimize(objective, np.zeros(2))
+    assert candidates[0] == np.inf
+    value, grad = objective(fit, 1)
     assert np.isfinite(value)
     assert np.max(np.abs(grad)) <= 1e-8
 

@@ -388,7 +388,8 @@ class TestRestrict:
     def test_shard_loss_on_columns_matches_the_full_loss(self, model):
         rng = derive_rng(47, "restrict", model.family)
         x = rng.normal(size=(60, 25))
-        y = (rng.random(60) < 0.5).astype(float) if model.link else rng.normal(size=60)
+        y = ((rng.random(60) < 0.5).astype(float) if model.family == "logistic"
+             else rng.normal(size=60))
         loss = ShardLoss(model, DataShard(x=x, y=y))
         columns = np.array([0, 3, 4, 11, 24])
         assert_restriction_matches(loss, columns, zero_off(columns, 25, rng))

@@ -12,18 +12,18 @@ The ledger counts d-dimensional vector payloads crossing machine boundaries:
 
 Every mean over workers is :meth:`Cluster.average`, summed in worker order.
 
-Raw-sample movement (pooling all data on one machine for baselines) is metered
-separately in ``samples_moved`` rather than being converted into vectors.
+Raw-sample movement, pooling all data on one machine for a baseline, is
+metered in ``samples_moved``, not in vectors. Data enters once: :func:`split_rows`
+checks the pooled pair and cuts the shards as row views of it.
 
 Transport is "in_process" (default) or "tcp", in which case workers 2..k are
-:class:`~csl.transport.WorkerServer` processes reached through the frame
+:class:`~csl.transport.WorkerServer` instances reached through the frame
 protocol; each shard is placed on its worker once, as a raw float64 frame like
 every vector. Every round, on either transport, runs the coordinator's share
 on the shards it serves (all k in process, shard 1 over tcp) and reads every
-reply even when one fails, so the next round starts in step. Shard contents are
-retained locally in both modes, each bound to one
-:class:`~csl.losses.ShardLoss` evaluator, so that surrogate construction can
-evaluate local losses at the coordinator.
+reply even when one fails, so the next round starts in step. The coordinator
+keeps every shard, bound to one :class:`~csl.losses.ShardLoss`, so that
+surrogate construction can evaluate local losses there.
 """
 
 from __future__ import annotations
@@ -56,22 +56,21 @@ class CommLedger:
 
 
 def split_rows(x: np.ndarray, y: np.ndarray, k: int) -> list[DataShard]:
-    """Split pooled rows into k equal consecutive blocks, one shard each."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Split pooled rows into k equal consecutive blocks, one shard each. The
+    pair is cast, checked and frozen once, as one shard; each block is a row view of it."""
     if k < 1:
         raise DataError("k must be >= 1")
-    n_total = x.shape[0]
-    if n_total % k != 0:
-        raise DataError(f"cannot split {n_total} samples into {k} equal shards")
-    n = n_total // k
-    return [DataShard(x=x[j * n:(j + 1) * n], y=y[j * n:(j + 1) * n])
+    pooled = DataShard(x=x, y=y)
+    n, rest = divmod(pooled.n_samples, k)
+    if rest:
+        raise DataError(f"cannot split {pooled.n_samples} samples into {k} equal shards")
+    return [DataShard._cut(pooled.x[j * n:(j + 1) * n], pooled.y[j * n:(j + 1) * n])
             for j in range(k)]
 
 
 def _stacked(blocks: list[np.ndarray]) -> np.ndarray:
-    """Equal-shape blocks stacked along rows: a view of their base when they
-    tile that C-contiguous array in order, else a concatenated copy."""
+    """Equal-shape blocks stacked by rows: a view of the C-contiguous base
+    they tile in order, else a concatenated copy."""
     base, size = blocks[0].base, blocks[0].nbytes
     if (isinstance(base, np.ndarray) and base.flags.c_contiguous
             and base.dtype == blocks[0].dtype and base.nbytes == len(blocks) * size
@@ -89,8 +88,7 @@ class Cluster:
                  addresses: list[tuple[str, int]] | None = None):
         if len(shards) < 1:
             raise DataError("a cluster needs at least one shard")
-        n = shards[0].n_samples
-        d = shards[0].n_features
+        n, d = shards[0].x.shape
         for j, shard in enumerate(shards):
             if shard.n_samples != n:
                 raise DataError(f"shard {j + 1} has {shard.n_samples} samples, "
@@ -102,6 +100,7 @@ class Cluster:
         self.shards = tuple(shards)
         self.losses = tuple(ShardLoss(model, shard) for shard in self.shards)
         self.ledger = CommLedger()
+        self._pooled: DataShard | None = None  # made by the first pooled_shard
         self._clients: list[WorkerClient] = []
         self._owned_servers: list[WorkerServer] = []
         if transport == "tcp":
@@ -205,15 +204,17 @@ class Cluster:
         return functools.reduce(operator.add, values, 0.0) / self.k
 
     def pooled_shard(self, meter: bool) -> DataShard:
-        """All samples on one machine, in worker order, as a read-only view
-        when :func:`split_rows` cut the shards from one array. ``meter`` says
-        whether the ledger pays (k-1)*n moved raw samples (a pooling baseline)
-        or not (a diagnostic copy); vector counts are unaffected. The shards
-        were checked when they were made, so the pooled one is not rescanned."""
+        """All samples on one machine, in worker order: one frozen shard per
+        cluster, made unscanned at the first call, a view of the array the
+        shards tile as :func:`split_rows` cuts them, else their rows stacked
+        once. ``meter`` says whether the ledger pays (k-1)*n moved raw samples
+        (a pooling baseline) or not (a diagnostic copy); vectors are unaffected."""
         if meter and self.k > 1:
             self.ledger.samples_moved += (self.k - 1) * self.n_per_shard
-        return DataShard._cut(_stacked([s.x for s in self.shards]),
-                              _stacked([s.y for s in self.shards]))
+        if self._pooled is None:
+            self._pooled = DataShard._cut(_stacked([s.x for s in self.shards]),
+                                          _stacked([s.y for s in self.shards]))
+        return self._pooled
 
     def close(self) -> None:
         for client in self._clients:

@@ -164,25 +164,22 @@ def _sq_error(theta: np.ndarray, theta_star: np.ndarray) -> float:
 
 def _mest_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
                 trial: int, emit) -> None:
-    ledger0 = cluster.ledger.copy()
     theta_global = local_fit(ShardLoss(cluster.model, cluster.pooled_shard(meter=True)))
     emit("global", "sq_error", _sq_error(theta_global, theta_star))
-    emit("global", "samples_moved", cluster.ledger.samples_moved - ledger0.samples_moved)
+    emit("global", "samples_moved", cluster.ledger.samples_moved)
     emit("global", "vectors_sent", 0)
 
     theta_sub = subsample_estimator(cluster)
     emit("subsample", "sq_error", _sq_error(theta_sub, theta_star))
     emit("subsample", "vectors_sent", 0)
 
-    ledger0 = cluster.ledger.copy()
     theta_avg = averaging_estimator(cluster)
-    averaging_cost = cluster.ledger.vectors_sent - ledger0.vectors_sent
+    averaging_cost = cluster.ledger.vectors_sent
     emit("averaging", "sq_error", _sq_error(theta_avg, theta_star))
     emit("averaging", "vectors_sent", averaging_cost)
 
-    ledger0 = cluster.ledger.copy()
     trajectory = ilea(cluster, theta_avg, rounds=_ROUNDS)
-    per_round = (cluster.ledger.vectors_sent - ledger0.vectors_sent) // trajectory.rounds
+    per_round = (cluster.ledger.vectors_sent - averaging_cost) // trajectory.rounds
     for t in range(1, trajectory.rounds + 1):
         emit(f"csl_{t}", "sq_error", _sq_error(trajectory.iterates[t], theta_star))
         emit(f"csl_{t}", "vectors_sent", averaging_cost + per_round * t)
@@ -247,14 +244,12 @@ def _lasso_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndar
     emit_fit("subsample_lasso", anchor_fit, 0)
 
     anchor = _refit_on_support(cluster.shards[0], anchor_fit.theta)
-    ledger0 = cluster.ledger.copy()
     csl_fit = csl_lasso(cluster, anchor=anchor, lam=lam_global)
-    emit_fit("csl_lasso", csl_fit, cluster.ledger.vectors_sent - ledger0.vectors_sent)
+    csl_cost = cluster.ledger.vectors_sent
+    emit_fit("csl_lasso", csl_fit, csl_cost)
 
-    ledger0 = cluster.ledger.copy()
     avg_fit = averaging_lasso(cluster, lam=lam_local)
-    emit_fit("averaging_lasso", avg_fit,
-             cluster.ledger.vectors_sent - ledger0.vectors_sent)
+    emit_fit("averaging_lasso", avg_fit, cluster.ledger.vectors_sent - csl_cost)
 
 
 def _bayes_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndarray,
@@ -267,10 +262,9 @@ def _bayes_trial(config: ExperimentConfig, cluster: Cluster, theta_star: np.ndar
     chain_seed = int(seeds.integers(0, 2 ** 63 - 1))
 
     prior = Prior.flat()
-    ledger0 = cluster.ledger.copy()
     result = run_csl_bayes(cluster, prior, McmcSettings(iters=config.mcmc_iters,
                                                         seed=chain_seed))
-    emit("csl_bayes", "vectors_sent", cluster.ledger.vectors_sent - ledger0.vectors_sent)
+    emit("csl_bayes", "vectors_sent", cluster.ledger.vectors_sent)
     emit("csl_bayes", "accept_rate", result.chain.acceptance_rate)
 
     # Oracle chain on the pooled posterior: same start, step size and proposal
@@ -336,9 +330,10 @@ def _trial_rows(config: ExperimentConfig, body, n: int, k: int,
     ``error_flag`` row when any step raises a CslError.
 
     The prologue derives the trial's data stream, generates sparse linear
-    shards for the lasso designs and logistic data otherwise, builds the
-    cluster and starts the timer; ``body(config, cluster, theta_star, trial,
-    emit)`` then emits through ``emit(estimator, metric, value)``.
+    shards for the lasso designs and logistic data otherwise, builds a fresh
+    cluster, whose ledger totals are thus the trial's costs, and starts the
+    timer; ``body(config, cluster, theta_star, trial, emit)`` then emits
+    through ``emit(estimator, metric, value)``.
     """
     rows: list[list] = []
 

@@ -89,9 +89,10 @@ def _check_finite(*arrays: np.ndarray) -> None:
 class DataShard:
     """An immutable (x, y) block of samples; one machine's local data.
 
-    Arrays are cast to float64, checked and frozen; when one is a view, the
-    array it views is frozen too. Rows are samples. The shard keeps the fits
-    :func:`~csl.solvers.run_fit` finished on it.
+    Arrays are cast to float64, checked and frozen, as is the array a view
+    views, so no write leaves the kept fits stale. A view of that array made
+    before the shard stays writable; writing through it is outside this contract.
+    Rows are samples. The shard keeps the fits :func:`~csl.solvers.run_fit` finished on it.
     """
 
     x: np.ndarray
@@ -109,16 +110,14 @@ class DataShard:
 
     @classmethod
     def _cut(cls, x: np.ndarray, y: np.ndarray) -> "DataShard":
-        """A shard of arrays cut from checked shards, such as a pooled view or
-        a column slice: cast and frozen, but not scanned again."""
+        """A shard of arrays cut from checked shards, such as a row block, a
+        pooled view or a column slice: cast and frozen, but not scanned again."""
         shard = object.__new__(cls)
         shard._freeze(np.ascontiguousarray(x, dtype=np.float64),
                       np.ascontiguousarray(y, dtype=np.float64))
         return shard
 
     def _freeze(self, x: np.ndarray, y: np.ndarray) -> None:
-        # A view's base is frozen too: a write there would change the shard
-        # under the fits it keeps.
         for a in (x, y):
             a.flags.writeable = False
             if isinstance(a.base, np.ndarray):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import csl.cluster
+import csl.losses
+import csl.solvers
 from csl.cluster import CommLedger, Cluster, split_rows
 from csl.datagen import gen_logistic, gen_sparse_linear
 from csl.errors import ConfigError, DataError
@@ -36,6 +39,14 @@ class TestConstruction:
     def test_split_rows_requires_divisibility(self):
         with pytest.raises(DataError):
             split_rows(np.ones((10, 2)), np.zeros(10), 3)
+
+    def test_split_rows_rejects_labels_beyond_the_rows(self):
+        with pytest.raises(DataError, match="y must have shape"):
+            split_rows(np.ones((12, 2)), np.zeros(13), 4)
+
+    def test_from_pooled_rejects_labels_beyond_the_rows(self):
+        with pytest.raises(DataError, match="y must have shape"):
+            Cluster.from_pooled(LossModel.linear(), np.ones((12, 2)), np.zeros(20), 3)
 
     def test_split_rows_preserves_order(self):
         x = np.arange(12, dtype=float).reshape(6, 2)
@@ -138,6 +149,82 @@ class TestLedger:
         cluster.gradient_round(np.zeros(3))
         assert before.vectors_sent == 0
         assert cluster.ledger.vectors_sent == 2
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` and return the list its calls append to."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPooledBase:
+    def test_split_rows_checks_the_pooled_pair_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((12, 3)), rng.standard_normal(12)
+        scans = count_calls(monkeypatch, csl.losses, "_check_finite")
+        shards = split_rows(x, y, 4)
+        assert [tuple(a.shape for a in arrays) for arrays in scans] == [((12, 3), (12,))]
+        assert all(s.x.base is x and s.y.base is y for s in shards)
+
+    def test_tiled_shards_pool_into_one_view_made_once(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((16, 2)), rng.standard_normal(16)
+        cluster = Cluster(LossModel.linear(), split_rows(x, y, 4))
+        stacks = count_calls(monkeypatch, csl.cluster, "_stacked")
+        pooled = cluster.pooled_shard(meter=True)
+        assert len(stacks) == 2  # x and y, at the first call only
+        for meter in (False, True, False):
+            assert cluster.pooled_shard(meter=meter) is pooled
+        assert len(stacks) == 2
+        assert cluster.ledger.samples_moved == 2 * 3 * 4
+        assert pooled.x.base is x and pooled.y.base is y
+        assert not pooled.x.flags.writeable and not pooled.y.flags.writeable
+        for j, shard in enumerate(cluster.shards):
+            assert shard.x.ctypes.data == pooled.x[4 * j:].ctypes.data
+            assert shard.y.ctypes.data == pooled.y[4 * j:].ctypes.data
+
+    def test_shards_that_do_not_tile_one_array_are_stacked_once(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        shards = [DataShard(x=rng.standard_normal((5, 3)), y=rng.standard_normal(5))
+                  for _ in range(3)]
+        cluster = Cluster(LossModel.linear(), shards)
+        copies = count_calls(monkeypatch, np, "concatenate")
+        pooled = cluster.pooled_shard(meter=False)
+        assert len(copies) == 2
+        for meter in (True, False):
+            assert cluster.pooled_shard(meter=meter) is pooled
+        assert len(copies) == 2
+        assert not any(np.shares_memory(pooled.x, s.x) for s in shards)
+        assert pooled.x.tobytes() == np.concatenate([s.x for s in shards]).tobytes()
+
+    def test_strided_input_is_copied_once_and_the_shards_tile_the_copy(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.standard_normal((24, 5))[::2, ::2], rng.standard_normal(24)[::2]
+        shards = split_rows(x, y, 3)
+        base = shards[0].x.base
+        assert base.flags.c_contiguous and base.shape == (12, 3)
+        assert not np.shares_memory(base, x)
+        assert all(s.x.base is base for s in shards)
+        pooled = Cluster(LossModel.linear(), shards).pooled_shard(meter=False)
+        assert pooled.x.base is base and pooled.y.base is shards[0].y.base
+        np.testing.assert_array_equal(pooled.x, x)
+        np.testing.assert_array_equal(pooled.y, y)
+
+    def test_a_lasso_fit_on_the_pooled_shard_is_kept_across_calls(self, monkeypatch):
+        shards, _ = gen_sparse_linear(d=30, n=40, k=3, s=3, sigma=0.5, seed_or_rng=12)
+        cluster = Cluster(LossModel.linear(), shards)
+        first = local_lasso(cluster.model, cluster.pooled_shard(meter=True), lam=0.1)
+        fistas = count_calls(monkeypatch, csl.solvers, "fista_l1")
+        again = local_lasso(cluster.model, cluster.pooled_shard(meter=True), lam=0.1)
+        assert fistas == []
+        assert again.theta.tobytes() == first.theta.tobytes() and again.theta is not first.theta
+        assert cluster.ledger.samples_moved == 2 * 2 * 40
 
 
 class TestFrozenBase:

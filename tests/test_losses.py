@@ -433,11 +433,11 @@ class TestCheckedOnce:
         DataShard(x=x, y=y)
         assert len(scans) == 1
         split_rows(x, y, 4)
-        assert len(scans) == 5
+        assert len(scans) == 2
         shard = DataShard(x=x[:4], y=y[:4])
         payload = b"".join([transport._SHAPE.pack(4, 3), shard.y.tobytes(), shard.x.tobytes()])
         decoded = transport._decode_shard(np.frombuffer(payload, np.uint8).copy())
-        assert len(scans) == 7
+        assert len(scans) == 4
         assert decoded.x.tobytes() == shard.x.tobytes()
 
     @pytest.mark.parametrize("tiled", [True, False])

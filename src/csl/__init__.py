@@ -15,10 +15,9 @@ from .errors import (ConfigError, CslError, DataError, NonConvergenceError,
 from .estimators import (IleaTrajectory, averaging_estimator, ilea, minimize_surrogate,
                          one_step_update, subsample_estimator)
 from .experiments import (ExperimentConfig, RunResult, config_from_mapping, desk_presets,
-                          paper_presets, parse_config_text, report, results_hash,
-                          run_experiment)
-from .inference import (ConfidenceIntervals, confidence_intervals, normal_quantile,
-                        sandwich, sigma_cross, sigma_global, sigma_local)
+                          paper_presets, report, results_hash, run_experiment)
+from .inference import (ConfidenceIntervals, confidence_intervals, sandwich, sigma_cross,
+                        sigma_global, sigma_local)
 from .losses import DataShard, LossModel, ShardLoss, shard_to_csv
 from .solvers import (L1Settings, LassoFit, SolverSettings, SparseEstimate, fista_l1,
                       lambda_heuristic, local_fit, newton_minimize, run_fit, soft_threshold)

@@ -38,7 +38,7 @@ from .surrogate import build_surrogate
 
 __all__ = [
     "EXPERIMENTS", "RESULTS_HEADER", "RUNTIME_METRICS", "ExperimentConfig",
-    "config_from_mapping", "config_values", "parse_config_text",
+    "config_from_mapping", "config_values",
     "run_experiment", "RunResult", "results_hash", "report", "desk_presets",
     "paper_presets",
 ]
@@ -110,22 +110,8 @@ _FIELDS = {_MAPPING_KEYS.get(f.name, f.name): (f, _PARSERS[f.type.removesuffix("
            for f in dataclasses.fields(ExperimentConfig)}
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; ``#`` starts a comment; later keys win."""
-    mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip().lower()] = value.strip()
-    return mapping
-
-
 def config_values(mapping: dict[str, str]) -> dict:
-    """Parse string key/values (file or CLI flags) into typed config field
+    """Parse string key/values (CLI settings) into typed config field
     values, keyed by field name, for :class:`ExperimentConfig` or
     :func:`dataclasses.replace`."""
     unknown = set(mapping) - set(_FIELDS)
@@ -143,7 +129,7 @@ def config_values(mapping: dict[str, str]) -> dict:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build a validated config from string key/values (file or CLI flags)."""
+    """Build a validated config from string key/values (CLI settings)."""
     values = config_values(mapping)
     if "experiment" not in values:
         raise ConfigError("config must set 'experiment'")
@@ -415,7 +401,7 @@ def _read_rows(path) -> list[dict[str, str]]:
                     raise ConfigError(f"{path} line {lineno}: bad {col} {record[col]!r}")
             if not math.isfinite(float(record["value"])):
                 raise ConfigError(f"{path} line {lineno}: non-finite value")
-            # These cells name the report's output files.
+            # The report groups on these cells: known experiments, plain names.
             if record["experiment"] not in EXPERIMENTS:
                 raise ConfigError(f"{path} line {lineno}: unknown experiment "
                                   f"{record['experiment']!r}")
@@ -439,14 +425,17 @@ def results_hash(path) -> str:
     return digest.hexdigest()
 
 
-def report(results_path, out_dir=None) -> tuple[list[dict], list[Path]]:
+def report(results_path, out_dir=None) -> tuple[list[dict], Path]:
     """Summarize a results CSV: median and MAD per (sweep point, estimator,
-    metric), written to summary.csv plus one tidy file per experiment/metric
-    pair for plotting. An output directory that cannot be made or written
-    raises DataError.
+    metric), written to ``summary.csv`` in ``out_dir`` (default: beside the
+    results). Writing over the results file itself, or into a directory
+    that cannot be made or written, raises DataError.
     """
     results_path = Path(results_path)
     out_dir = Path(out_dir) if out_dir is not None else results_path.parent
+    out_path = out_dir / "summary.csv"
+    if out_path.resolve() == results_path.resolve():
+        raise DataError(f"report would overwrite its input {results_path}")
     rows = _read_rows(results_path)
     groups: dict[tuple, list[float]] = {}
     for record in rows:
@@ -462,21 +451,15 @@ def report(results_path, out_dir=None) -> tuple[list[dict], list[Path]]:
         summary.append(dict(zip(summary_cols, (*key, len(values), med, mad))))
     summary.sort(key=lambda r: (r["experiment"], r["metric"], r["estimator"],
                                 int(r["d"]), int(r["n"]), int(r["k"])))
-    tables = {"summary.csv": (summary_cols, summary)}
-    for experiment, metric in sorted({(r["experiment"], r["metric"]) for r in summary}):
-        tables[f"{experiment}_{metric}.csv"] = (
-            ["d", "n", "k", "estimator", "count", "median", "mad"],
-            [r for r in summary if r["experiment"] == experiment and r["metric"] == metric])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (cols, table) in tables.items():
-            with open(out_dir / name, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(cols)
-                writer.writerows([row[c] for c in cols] for row in table)
+        with open(out_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(summary_cols)
+            writer.writerows([row[c] for c in summary_cols] for row in summary)
     except OSError as exc:
         raise DataError(f"cannot write report: {exc}")
-    return summary, [out_dir / name for name in tables]
+    return summary, out_path
 
 
 def desk_presets() -> dict[str, ExperimentConfig]:

@@ -25,19 +25,13 @@ from .losses import ShardLoss
 from .surrogate import SurrogateLoss
 
 __all__ = [
-    "normal_quantile", "sandwich",
+    "sandwich",
     "sigma_global", "sigma_local", "sigma_cross",
     "ConfidenceIntervals", "confidence_intervals",
 ]
 
-_STANDARD_NORMAL = statistics.NormalDist()
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
-    if not (0.0 < p < 1.0):
-        raise DataError(f"quantile level must be in (0, 1), got {p}")
-    return _STANDARD_NORMAL.inv_cdf(p)
+# Two-sided 95% normal critical value: the design's one interval level.
+_Z95 = statistics.NormalDist().inv_cdf(0.975)
 
 
 def sandwich(curvature: np.ndarray, middle: np.ndarray) -> np.ndarray:
@@ -103,13 +97,11 @@ def sigma_cross(cluster: Cluster, theta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConfidenceIntervals:
-    """Per-coordinate normal intervals ``center_i +- z * sqrt(cov_ii / n_total)``."""
+    """Per-coordinate 95% normal intervals ``center_i +- z * sqrt(cov_ii / n_total)``."""
 
     center: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    level: float
-    n_total: int
 
     @property
     def halfwidths(self) -> np.ndarray:
@@ -121,20 +113,16 @@ class ConfidenceIntervals:
         return (self.lower <= truth) & (truth <= self.upper)
 
 
-def confidence_intervals(center: np.ndarray, covariance: np.ndarray, n_total: int,
-                         level: float = 0.95) -> ConfidenceIntervals:
-    """Plug-in intervals from an asymptotic covariance of sqrt(n_total)-scaled
+def confidence_intervals(center: np.ndarray, covariance: np.ndarray,
+                         n_total: int) -> ConfidenceIntervals:
+    """Plug-in 95% intervals from an asymptotic covariance of sqrt(n_total)-scaled
     estimates; the variance of the estimate itself is cov_ii / n_total."""
     center = np.asarray(center, dtype=np.float64)
     covariance = np.asarray(covariance, dtype=np.float64)
-    if not (0.0 < level < 1.0):
-        raise DataError(f"level must be in (0, 1), got {level}")
     if n_total < 1:
         raise DataError("n_total must be >= 1")
     diag = np.diag(covariance)
     if np.any(diag < 0.0):
         raise DataError("covariance has negative diagonal entries")
-    z = normal_quantile(0.5 * (1.0 + level))
-    half = z * np.sqrt(diag / n_total)
-    return ConfidenceIntervals(center=center, lower=center - half,
-                               upper=center + half, level=level, n_total=n_total)
+    half = _Z95 * np.sqrt(diag / n_total)
+    return ConfidenceIntervals(center=center, lower=center - half, upper=center + half)

@@ -5,7 +5,7 @@ import pytest
 
 import csl.cli as cli
 from csl.cli import main
-from csl.experiments import RunResult, desk_presets, paper_presets, results_hash
+from csl.experiments import RunResult, desk_presets, paper_presets
 
 
 def run_cli(*argv):
@@ -22,14 +22,13 @@ def built(monkeypatch):
         return RunResult(path=config.out_path, rows_written=0, error_flags=0)
 
     monkeypatch.setattr(cli, "run_experiment", record)
-    monkeypatch.delenv("CSL_SEED", raising=False)
     return configs
 
 
 class TestRun:
     def test_overrides_on_top_of_preset(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        code = run_cli("run", "--preset", "sweep_k_desk", "--out", str(out),
+        code = run_cli("run", "--preset", "sweep_k_desk", "out=" + str(out),
                        "trials=1", "k=2", "n=32", "d=2")
         assert code == 0
         assert out.exists()
@@ -40,30 +39,16 @@ class TestRun:
         assert {r["k"] for r in rows} == {"2"}
         assert {r["n"] for r in rows} == {"32"}
 
-    def test_config_file_runs(self, tmp_path):
-        config = tmp_path / "cfg.txt"
-        config.write_text(
-            "experiment = MestSweepK\nd = 2\nn = 32\nk = 2\ntrials = 1\n"
-            f"out = {tmp_path / 'from_file.csv'}\n")
-        code = run_cli("run", "--config", str(config))
-        assert code == 0
-        assert (tmp_path / "from_file.csv").exists()
-
-    def test_env_seed_beats_everything(self, tmp_path, monkeypatch):
-        args = ("run", "--preset", "sweep_k_desk", "trials=1", "k=2",
-                "n=32", "d=2", "seed=1")
-        monkeypatch.setenv("CSL_SEED", "77")
-        a = tmp_path / "env.csv"
-        run_cli(*args, "--out", str(a))
-        monkeypatch.delenv("CSL_SEED")
-        b = tmp_path / "plain77.csv"
-        run_cli("run", "--preset", "sweep_k_desk", "trials=1", "k=2",
-                "n=32", "d=2", "seed=77", "--out", str(b))
-        c = tmp_path / "plain1.csv"
-        run_cli("run", "--preset", "sweep_k_desk", "trials=1", "k=2",
-                "n=32", "d=2", "seed=1", "--out", str(c))
-        assert results_hash(a) == results_hash(b)
-        assert results_hash(a) != results_hash(c)
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_removed_flags_exit_two_before_any_file(self, flag, tmp_path, capsys):
+        # settings are key=value only; argparse refuses any other flag
+        target = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", flag, str(target), "experiment=MestSweepK", "d=2", "n=32",
+                    "k=2", "trials=1")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_preset_exits_two(self, capsys):
         assert run_cli("run", "--preset", "nope") == 2
@@ -74,36 +59,24 @@ class TestRun:
 
     def test_bad_value_names_its_key(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        assert run_cli("run", "--out", str(out), "experiment=Bayes", "d=2", "n=1,x") == 2
+        assert run_cli("run", "out=" + str(out), "experiment=Bayes", "d=2", "n=1,x") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config value for n: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("spelling", ["override", "env"])
-    def test_negative_seed_exits_two_before_any_file(self, spelling, tmp_path, monkeypatch,
-                                                     capsys):
+    @pytest.mark.parametrize("spelling", ["override"])
+    def test_negative_seed_exits_two_before_any_file(self, spelling, tmp_path, capsys):
         out = tmp_path / "neg.csv"
-        args = ["run", "--preset", "sweep_k_desk", "--out", str(out)]
-        if spelling == "env":
-            monkeypatch.setenv("CSL_SEED", "-1")
-        else:
-            monkeypatch.delenv("CSL_SEED", raising=False)
-            args.append("seed=-1")
-        assert run_cli(*args) == 2
+        assert run_cli("run", "--preset", "sweep_k_desk", "out=" + str(out), "seed=-1") == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["missing_config", "non_utf8_config", "out_under_file"])
+    @pytest.mark.parametrize("case", ["out_under_file"])
     def test_unreadable_input_or_unwritable_output_exits_two(self, case, tmp_path, capsys):
-        (tmp_path / "latin1.txt").write_bytes(b"experiment = MestSweepK\nout = \xff.csv\n")
         (tmp_path / "file").write_text("")
-        out = tmp_path / "r.csv"
-        source, out = {
-            "missing_config": (["--config", str(tmp_path / "absent.txt")], out),
-            "non_utf8_config": (["--config", str(tmp_path / "latin1.txt")], out),
-            "out_under_file": (["--preset", "sweep_k_desk"], tmp_path / "file" / "r.csv"),
-        }[case]
-        assert run_cli("run", *source, "--out", str(out), "trials=1", "k=2", "n=32") == 2
+        out = tmp_path / "file" / "r.csv"
+        assert run_cli("run", "--preset", "sweep_k_desk", "out=" + str(out), "trials=1",
+                       "k=2", "n=32") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
@@ -115,7 +88,7 @@ class TestRun:
         # the noise level and the penalty scale are constants of the sparse
         # design, so no value of either, finite or not, reaches a run
         out = tmp_path / "r.csv"
-        code = run_cli("run", "--out", str(out), "experiment=LassoFixedn", "d=20",
+        code = run_cli("run", "out=" + str(out), "experiment=LassoFixedn", "d=20",
                        "n=40", "k=2", "trials=2", setting)
         assert code == 2
         err = capsys.readouterr().err
@@ -132,7 +105,7 @@ class TestRun:
         monkeypatch.setitem(experiments._DESIGNS, "MestSweepK",
                             (always_fails, ("n", "k")))
         code = run_cli("run", "--preset", "sweep_k_desk", "trials=1", "k=2",
-                       "n=32", "d=2", "--out", str(tmp_path / "f.csv"))
+                       "n=32", "d=2", "out=" + str(tmp_path / "f.csv"))
         assert code == 3
         assert "flagged" in capsys.readouterr().err
 
@@ -161,7 +134,7 @@ _REFUSED = [
                          ids=[" ".join(args) for args, _ in _REFUSED])
 def test_every_setting_a_run_accepts_is_one_it_reads(args, message, tmp_path, capsys):
     out = tmp_path / "r.csv"
-    assert run_cli("run", "--out", str(out), *args, "trials=1") == 2
+    assert run_cli("run", *args, "out=" + str(out), "trials=1") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(tmp_path.iterdir()) == []
@@ -180,24 +153,28 @@ def test_every_preset_round_trips_through_the_cli_mapping(name, built):
     assert built == [{**desk_presets(), **paper_presets()}[name]]
 
 
-def test_preset_then_file_then_overrides_then_env_seed_then_out(tmp_path, monkeypatch,
-                                                                built):
-    config_file = tmp_path / "cfg.txt"
-    config_file.write_text("d = 4\nn = 512\ntrials = 2\nseed = 3\n"
-                           f"out = {tmp_path / 'file.csv'}\n")
+def test_preset_then_settings_in_order_with_a_later_key_winning(tmp_path, monkeypatch,
+                                                                 built):
+    # the preset and the settings are the only layers: CSL_SEED is not one
     monkeypatch.setenv("CSL_SEED", "77")
-    code = run_cli("run", "--preset", "coverage_desk", "--config", str(config_file),
-                   "--out", str(tmp_path / "flag.csv"), "trials=5", "seed=9", "k=16")
+    code = run_cli("run", "--preset", "coverage_desk", "seed=3", "d=4", "n=512",
+                   "out=" + str(tmp_path / "flag.csv"), "trials=5", "seed=9", "k=16")
     assert code == 0
     assert built == [dataclasses.replace(
         desk_presets()["coverage_desk"], d=4, n_values=(512,), trials=5, k_values=(16,),
-        seed=77, out=str(tmp_path / "flag.csv"))]
+        seed=9, out=str(tmp_path / "flag.csv"))]
+
+
+# Raw results rows for two metrics of one sweep point.
+_RAW_ROWS = ("experiment,d,n,k,trial,estimator,metric,value\n"
+             "MestSweepK,2,32,2,1,global,sq_error,0.5\n"
+             "MestSweepK,2,32,2,1,global,vectors_sent,0.0\n")
 
 
 class TestReport:
     def test_report_prints_table_and_writes_files(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        run_cli("run", "--preset", "sweep_k_desk", "--out", str(out),
+        run_cli("run", "--preset", "sweep_k_desk", "out=" + str(out),
                 "trials=2", "k=2", "n=32", "d=2")
         capsys.readouterr()
         code = run_cli("report", str(out), "--out-dir", str(tmp_path / "rep"))
@@ -208,6 +185,28 @@ class TestReport:
                        if not line.startswith("wrote ")]
         assert not any("runtime_s" in line for line in table_lines)
         assert (tmp_path / "rep" / "summary.csv").exists()
+
+    def test_report_writes_only_summary_csv(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text(_RAW_ROWS)
+        assert run_cli("report", str(results), "--out-dir", str(tmp_path / "rep")) == 0
+        assert [p.name for p in (tmp_path / "rep").iterdir()] == ["summary.csv"]
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == [f"wrote {tmp_path / 'rep' / 'summary.csv'}"]
+
+    @pytest.mark.parametrize("out_dir", [None, "clob", "clob/../clob"])
+    def test_report_never_writes_over_its_input(self, out_dir, tmp_path, capsys):
+        results = tmp_path / "clob" / "summary.csv"
+        results.parent.mkdir()
+        results.write_text(_RAW_ROWS)
+        args = [] if out_dir is None else ["--out-dir", str(tmp_path / out_dir)]
+        assert run_cli("report", str(results), *args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: report would overwrite its input")
+        assert captured.out == ""
+        assert results.read_text() == _RAW_ROWS
+        assert sorted(tmp_path.rglob("*")) == [results.parent, results]
 
     def test_missing_results_file_exits_two(self, tmp_path):
         assert run_cli("report", str(tmp_path / "absent.csv")) == 2
@@ -228,8 +227,8 @@ class TestReport:
         ids=["experiment", "estimator", "metric"])
     def test_names_that_would_leave_the_out_dir_exit_two(self, row, cell, tmp_path,
                                                           capsys):
-        # experiment and metric name the tidy files, so a path in either
-        # would write outside --out-dir
+        # the grouped cells must be plain names: a path in any of them is
+        # refused before --out-dir is made
         results = tmp_path / "r.csv"
         results.write_text("experiment,d,n,k,trial,estimator,metric,value\n"
                            f"{row}\n")
@@ -241,7 +240,7 @@ class TestReport:
 
     def test_out_dir_under_a_file_exits_two(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        run_cli("run", "--preset", "sweep_k_desk", "--out", str(out),
+        run_cli("run", "--preset", "sweep_k_desk", "out=" + str(out),
                 "trials=1", "k=2", "n=32", "d=2")
         (tmp_path / "afile").write_text("")
         capsys.readouterr()

@@ -9,8 +9,7 @@ import csl.experiments as experiments
 from csl.errors import ConfigError, CslError
 from csl.experiments import (EXPERIMENTS, RESULTS_HEADER, ExperimentConfig,
                              config_from_mapping, config_values,
-                             desk_presets, paper_presets,
-                             parse_config_text, report, results_hash,
+                             desk_presets, paper_presets, report, results_hash,
                              run_experiment)
 
 
@@ -38,27 +37,6 @@ def tiny_mest_config(tmp_path, **overrides):
 
 
 class TestConfigParsing:
-    def test_key_value_lines_with_comments(self):
-        text = """
-        # sweep over machines
-        experiment = MestSweepK
-        d = 3
-        n = 64
-        k = 2, 4
-        trials = 2   # small smoke
-        out = results.csv
-        """
-        mapping = parse_config_text(text)
-        config = config_from_mapping(mapping)
-        assert config.experiment == "MestSweepK"
-        assert config.n_values == (64,)
-        assert config.k_values == (2, 4)
-        assert config.trials == 2
-
-    def test_last_assignment_wins(self):
-        mapping = parse_config_text("seed = 1\nseed = 9\n")
-        assert mapping["seed"] == "9"
-
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknow"):
             config_from_mapping(as_mapping(experiment="Bayes", d=2, unknowable=1))
@@ -121,10 +99,6 @@ class TestConfigParsing:
                                                 mcmc_iters="300", out="7"))
         assert config.mcmc_iters == 300 and isinstance(config.mcmc_iters, int)
         assert config.out == "7"
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("this line has no equals sign\n")
 
 
 class TestRunMest:
@@ -330,7 +304,7 @@ class TestHashAndReport:
             med = statistics.median(values)
             assert entry["mad"] == pytest.approx(
                 statistics.median([abs(v - med) for v in values]))
-        assert (tmp_path / "rep" / "summary.csv") in written
+        assert written == tmp_path / "rep" / "summary.csv"
 
     def test_report_rejects_malformed_results(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -165,6 +165,12 @@ def test_preset_then_settings_in_order_with_a_later_key_winning(tmp_path, monkey
         seed=9, out=str(tmp_path / "flag.csv"))]
 
 
+def test_csl_seed_in_the_environment_is_not_read(monkeypatch, built):
+    monkeypatch.setenv("CSL_SEED", "77")
+    assert run_cli("run", "--preset", "coverage_desk") == 0
+    assert built == [desk_presets()["coverage_desk"]]
+
+
 # Raw results rows for two metrics of one sweep point.
 _RAW_ROWS = ("experiment,d,n,k,trial,estimator,metric,value\n"
              "MestSweepK,2,32,2,1,global,sq_error,0.5\n"

@@ -5,6 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
+import csl.cli as cli
 import csl.experiments as experiments
 from csl.errors import ConfigError, CslError
 from csl.experiments import (EXPERIMENTS, RESULTS_HEADER, ExperimentConfig,
@@ -36,7 +37,39 @@ def tiny_mest_config(tmp_path, **overrides):
     return config_from_mapping(as_mapping(**base))
 
 
+def config_from_settings(monkeypatch, *settings):
+    """The config ``csl run`` builds from key=value settings, not run."""
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        return experiments.RunResult(path=config.out_path, rows_written=0, error_flags=0)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    assert cli.main(["run", *settings]) == 0
+    (config,) = configs
+    return config
+
+
 class TestConfigParsing:
+    def test_key_value_lines_with_comments(self, monkeypatch):
+        # keys fold case and both sides are stripped; a setting has no
+        # comment syntax, so '#' is kept as part of its value
+        config = config_from_settings(monkeypatch, " Experiment = MestSweepK", "d = 3",
+                                      "n=64", "k = 2, 4", "TRIALS=2", "out=results#1.csv")
+        assert config.experiment == "MestSweepK"
+        assert config.d == 3
+        assert config.n_values == (64,)
+        assert config.k_values == (2, 4)
+        assert config.trials == 2
+        assert config.out == "results#1.csv"
+
+    def test_last_assignment_wins(self, monkeypatch):
+        config = config_from_settings(monkeypatch, "experiment=MestSweepK", "d=2", "n=32",
+                                      "k=2", "seed=1", "out=a.csv", "seed=9", "out=b.csv")
+        assert config.seed == 9
+        assert config.out == "b.csv"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknow"):
             config_from_mapping(as_mapping(experiment="Bayes", d=2, unknowable=1))
@@ -99,6 +132,13 @@ class TestConfigParsing:
                                                 mcmc_iters="300", out="7"))
         assert config.mcmc_iters == 300 and isinstance(config.mcmc_iters, int)
         assert config.out == "7"
+
+    def test_malformed_line_rejected(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: pytest.fail("a malformed setting reached a run"))
+        assert cli.main(["run", "experiment=MestSweepK", "this setting has no equals sign"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: setting 'this setting has no equals sign' is not key=value\n"
 
 
 class TestRunMest:

@@ -1,9 +1,12 @@
+import math
+import statistics
+
 import numpy as np
 import pytest
 
 from csl.cluster import Cluster
 from csl.datagen import derive_rng
-from csl.errors import SingularHessianError
+from csl.errors import DataError, SingularHessianError
 from csl.inference import (confidence_intervals, sandwich, sigma_cross, sigma_global,
                            sigma_local)
 from csl.losses import DataShard, LossModel, ShardLoss
@@ -11,6 +14,48 @@ from csl.solvers import local_fit
 from csl.surrogate import build_surrogate
 
 from conftest import gauss_jordan_inverse
+
+
+def normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def interval_z():
+    """The normal quantile every interval uses: its halfwidth at unit
+    variance and one sample."""
+    return float(confidence_intervals(np.zeros(1), np.eye(1), 1).halfwidths[0])
+
+
+class TestNormalQuantile:
+    def test_two_sided_95_percent_point(self):
+        z = interval_z()
+        assert 1.959963 < z < 1.959965
+        assert z == statistics.NormalDist().inv_cdf(0.975)
+
+    def test_median_and_symmetry(self):
+        # the center is each interval's median: both ends lie z standard
+        # errors from it, and the lower 2.5% point is -z
+        assert statistics.NormalDist().inv_cdf(0.025) == pytest.approx(-interval_z(),
+                                                                       abs=1e-13)
+        center = np.array([1.5, -2.0, 0.0])
+        ci = confidence_intervals(center, np.diag([0.3, 2.0, 7.5]), 50)
+        np.testing.assert_allclose(center - ci.lower, ci.upper - center, rtol=1e-12)
+        np.testing.assert_allclose(0.5 * (ci.lower + ci.upper), center, atol=1e-12)
+
+    def test_round_trip_through_cdf(self):
+        # each end leaves 2.5% of the normal mass outside the interval
+        z = interval_z()
+        assert normal_cdf(z) == pytest.approx(0.975, rel=1e-10)
+        assert normal_cdf(-z) == pytest.approx(0.025, rel=1e-10)
+
+    def test_domain_checked(self):
+        # z * sqrt(cov_ii / n_total) needs at least one sample and no
+        # negative variance
+        for bad in (0, -3):
+            with pytest.raises(DataError, match="n_total must be >= 1"):
+                confidence_intervals(np.zeros(2), np.eye(2), bad)
+        with pytest.raises(DataError, match="negative diagonal"):
+            confidence_intervals(np.zeros(2), np.diag([1.0, -1e-12]), 10)
 
 
 class TestSandwich:

@@ -1,7 +1,8 @@
 """Surrogate-posterior sampling.
 
 The surrogate posterior scores a parameter with the tilted local loss in
-place of the pooled loss: log density = -N * surrogate(theta) + log prior.
+place of the pooled loss: log density = -N * surrogate(theta) + log prior,
+where the prior is any log density and the experiments use the flat one.
 Building it costs the usual single gradient round; afterwards a random-walk
 Metropolis chain runs entirely on the coordinator. The pooled-loss posterior
 is kept available as the oracle the surrogate chain is compared against.
@@ -32,8 +33,8 @@ _INIT_ROUNDS = 3
 
 @dataclass(frozen=True)
 class Prior:
-    """Log prior density, normalized for the proper prior. Use the
-    constructors."""
+    """A log prior density, theta -> float, added as is to both log targets;
+    :meth:`flat` is the prior every experiment uses."""
 
     log_density: Callable[[np.ndarray], float]
 
@@ -41,25 +42,6 @@ class Prior:
     def flat(cls) -> "Prior":
         """Improper constant prior; log density 0 everywhere."""
         return cls(lambda theta: 0.0)
-
-    @classmethod
-    def gaussian(cls, mean, sd) -> "Prior":
-        """Independent normal prior; scores only a theta of mean's shape."""
-        mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-        sd = np.atleast_1d(np.asarray(sd, dtype=np.float64))
-        if (mean.ndim != 1 or sd.shape != mean.shape or not np.all(np.isfinite(mean))
-                or not np.all(np.isfinite(sd)) or np.any(sd <= 0.0)):
-            raise DataError("gaussian prior needs a finite mean vector and a finite, "
-                            "positive sd of its shape")
-
-        def log_density(theta):
-            theta = np.asarray(theta, dtype=np.float64)
-            if theta.shape != mean.shape:
-                raise DataError(f"theta shape {theta.shape} != prior shape {mean.shape}")
-            z = (theta - mean) / sd
-            return float(-0.5 * z @ z - np.log(sd).sum()
-                         - 0.5 * theta.size * math.log(2.0 * math.pi))
-        return cls(log_density)
 
 
 @dataclass

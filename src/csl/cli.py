@@ -79,7 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse leaves over the settings that follow --preset; run takes them in order.
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "run" and not any(item.startswith("-") for item in extra):
+        args.settings += extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ConfigError, DataError) as exc:

@@ -69,14 +69,17 @@ def split_rows(x: np.ndarray, y: np.ndarray, k: int) -> list[DataShard]:
 
 
 def _stacked(blocks: list[np.ndarray]) -> np.ndarray:
-    """Equal-shape blocks stacked by rows: a view of the C-contiguous base
-    they tile in order, else a concatenated copy."""
-    base, size = blocks[0].base, blocks[0].nbytes
-    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
-            and base.dtype == blocks[0].dtype and base.nbytes == len(blocks) * size
-            and all(b.base is base and b.ctypes.data == base.ctypes.data + j * size
-                    for j, b in enumerate(blocks))):
-        return base.reshape(-1, *blocks[0].shape[1:])
+    """Equal-shape C-contiguous blocks stacked by rows: a view when they lie
+    back to back, in order, in one C-contiguous array that owns its data,
+    else a concatenated copy."""
+    first = blocks[0]
+    owner = first if first.base is None else first.base
+    start, size = first.ctypes.data, first.nbytes
+    if (isinstance(owner, np.ndarray) and owner.flags.c_contiguous
+            and all((b if b.base is None else b.base) is owner
+                    and b.ctypes.data == start + j * size for j, b in enumerate(blocks))):
+        return np.ndarray((len(blocks) * first.shape[0], *first.shape[1:]), first.dtype,
+                          buffer=owner, offset=start - owner.ctypes.data)
     return np.concatenate(blocks)
 
 
@@ -205,10 +208,11 @@ class Cluster:
 
     def pooled_shard(self, meter: bool) -> DataShard:
         """All samples on one machine, in worker order: one frozen shard per
-        cluster, made unscanned at the first call, a view of the array the
-        shards tile as :func:`split_rows` cuts them, else their rows stacked
-        once. ``meter`` says whether the ledger pays (k-1)*n moved raw samples
-        (a pooling baseline) or not (a diagnostic copy); vectors are unaffected."""
+        cluster, made unscanned at the first call, a view of the array in
+        which the shards lie back to back, as :func:`split_rows` cuts them,
+        else their rows stacked once. ``meter`` says whether the ledger pays
+        (k-1)*n moved raw samples (a pooling baseline) or not (a diagnostic
+        copy); vectors are unaffected."""
         if meter and self.k > 1:
             self.ledger.samples_moved += (self.k - 1) * self.n_per_shard
         if self._pooled is None:

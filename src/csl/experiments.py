@@ -55,8 +55,8 @@ _SPARSITY, _NOISE_SD, _LAM_SCALE = 10, 1.0, 3.0
 class ExperimentConfig:
     experiment: str
     d: int
-    n_values: tuple[int, ...] = ()
-    k_values: tuple[int, ...] = (16,)
+    n: tuple[int, ...] = ()
+    k: tuple[int, ...] = (16,)
     n_total: int | None = None
     trials: int = 10
     seed: int = 0
@@ -68,16 +68,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"valid: {', '.join(EXPERIMENTS)}")
         unread = sorted(key for key in _SWEEP_KEYS - set(_DESIGNS[self.experiment][1])
-                        if getattr(self, _FIELDS[key][0].name) != _FIELDS[key][0].default)
+                        if getattr(self, key) != _FIELDS[key].default)
         if unread:
             raise ConfigError(f"{self.experiment} does not read {', '.join(unread)}")
         if self.d < 1 or self.trials < 1:
             raise ConfigError("d and trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if any(n < 1 for n in self.n_values):
+        if any(n < 1 for n in self.n):
             raise ConfigError("n must be a list of positive ints")
-        if not self.k_values or any(k < 1 for k in self.k_values):
+        if not self.k or any(k < 1 for k in self.k):
             raise ConfigError("k must be a nonempty list of positive ints")
         if self.n_total is not None and self.n_total < 1:
             raise ConfigError("n_total must be positive")
@@ -103,26 +103,22 @@ class ExperimentConfig:
 _PARSERS = {"int": int, "str": str,
             "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split(",")
                                                   if v.strip())}
-# Config fields whose mapping key is shorter than the field name.
-_MAPPING_KEYS = {"n_values": "n", "k_values": "k"}
-# Mapping key -> (config field, parser), one entry per ExperimentConfig field.
-_FIELDS = {_MAPPING_KEYS.get(f.name, f.name): (f, _PARSERS[f.type.removesuffix(" | None")])
-           for f in dataclasses.fields(ExperimentConfig)}
+# Setting key -> ExperimentConfig field of that name.
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
 def config_values(mapping: dict[str, str]) -> dict:
     """Parse string key/values (CLI settings) into typed config field
-    values, keyed by field name, for :class:`ExperimentConfig` or
-    :func:`dataclasses.replace`."""
+    values for :class:`ExperimentConfig` or :func:`dataclasses.replace`."""
     unknown = set(mapping) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}; "
                           f"valid: {', '.join(sorted(_FIELDS))}")
     values: dict = {}
     for key, text in mapping.items():
-        f, parse = _FIELDS[key]
+        parse = _PARSERS[_FIELDS[key].type.removesuffix(" | None")]
         try:
-            values[f.name] = parse(text)
+            values[key] = parse(text)
         except ValueError as exc:
             raise ConfigError(f"bad config value for {key}: {exc}")
     return values
@@ -131,8 +127,10 @@ def config_values(mapping: dict[str, str]) -> dict:
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a validated config from string key/values (CLI settings)."""
     values = config_values(mapping)
-    if "experiment" not in values:
-        raise ConfigError("config must set 'experiment'")
+    unset = [key for key, f in _FIELDS.items()
+             if f.default is dataclasses.MISSING and key not in values]
+    if unset:
+        raise ConfigError(f"config must set {', '.join(unset)}")
     return ExperimentConfig(**values)
 
 
@@ -287,22 +285,22 @@ _DESIGNS = {
     "Bayes": (_bayes_trial, ("n", "k", "mcmc_iters")),
 }
 EXPERIMENTS = tuple(_DESIGNS)
-# Settings some experiment ignores; each must then keep its default.
-_SWEEP_KEYS = {"n", "k", "n_total", "mcmc_iters"}
+# The sweep settings; an experiment that does not read one keeps its default.
+_SWEEP_KEYS = {key for _, reads in _DESIGNS.values() for key in reads}
 
 
 def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int]]:
     """(n, k) grid for the experiment, honoring the fixed-total variants."""
     reads = _DESIGNS[config.experiment][1]
-    if "n" in reads and not config.n_values:
+    if "n" in reads and not config.n:
         raise ConfigError(f"{config.experiment} needs n (one value or a comma list)")
     if "n_total" not in reads:
-        return [(n, k) for n in config.n_values for k in config.k_values]
+        return [(n, k) for n in config.n for k in config.k]
     if config.n_total is None:
         raise ConfigError(f"{config.experiment} needs n_total")
     axis = "n" if "n" in reads else "k"
     points = []
-    for value in (config.n_values if axis == "n" else config.k_values):
+    for value in (config.n if axis == "n" else config.k):
         if config.n_total % value != 0:
             raise ConfigError(f"n_total={config.n_total} not divisible by {axis}={value}")
         other = config.n_total // value
@@ -467,22 +465,17 @@ def desk_presets() -> dict[str, ExperimentConfig]:
     return {
         "sweep_n_desk": ExperimentConfig(
             experiment="MestSweepN", d=10, n_total=2 ** 16,
-            n_values=(2 ** 8, 2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12), trials=20),
+            n=(2 ** 8, 2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12), trials=20),
         "sweep_k_desk": ExperimentConfig(
-            experiment="MestSweepK", d=10, n_values=(256,), k_values=(16, 64, 256),
-            trials=20),
+            experiment="MestSweepK", d=10, n=(256,), k=(16, 64, 256), trials=20),
         "coverage_desk": ExperimentConfig(
-            experiment="Coverage", d=5, n_values=(2 ** 11,), k_values=(16, 64),
-            trials=200),
+            experiment="Coverage", d=5, n=(2 ** 11,), k=(16, 64), trials=200),
         "lasso_total_desk": ExperimentConfig(
-            experiment="LassoFixedN", d=1000, n_total=6400,
-            k_values=(1, 2, 4, 8, 16), trials=10),
+            experiment="LassoFixedN", d=1000, n_total=6400, k=(1, 2, 4, 8, 16), trials=10),
         "lasso_shard_desk": ExperimentConfig(
-            experiment="LassoFixedn", d=1000, n_values=(400,),
-            k_values=(1, 2, 4, 8, 16), trials=10),
+            experiment="LassoFixedn", d=1000, n=(400,), k=(1, 2, 4, 8, 16), trials=10),
         "bayes_desk": ExperimentConfig(
-            experiment="Bayes", d=2, n_values=(2 ** 6, 2 ** 8, 2 ** 10),
-            k_values=(16,), trials=10),
+            experiment="Bayes", d=2, n=(2 ** 6, 2 ** 8, 2 ** 10), k=(16,), trials=10),
     }
 
 
@@ -491,20 +484,18 @@ def paper_presets() -> dict[str, ExperimentConfig]:
     return {
         "sweep_n_paper": ExperimentConfig(
             experiment="MestSweepN", d=10, n_total=2 ** 19,
-            n_values=tuple(2 ** p for p in range(8, 14)), trials=100),
+            n=tuple(2 ** p for p in range(8, 14)), trials=100),
         "sweep_k_paper": ExperimentConfig(
-            experiment="MestSweepK", d=10, n_values=(512,),
-            k_values=(16, 64, 256, 1024), trials=100),
+            experiment="MestSweepK", d=10, n=(512,), k=(16, 64, 256, 1024), trials=100),
         "coverage_paper": ExperimentConfig(
-            experiment="Coverage", d=5, n_values=(2 ** 13,), k_values=(16, 64, 128),
-            trials=1000),
+            experiment="Coverage", d=5, n=(2 ** 13,), k=(16, 64, 128), trials=1000),
         "lasso_total_paper": ExperimentConfig(
-            experiment="LassoFixedN", d=5000, n_total=25600,
-            k_values=(1, 2, 4, 8, 16, 32), trials=50),
+            experiment="LassoFixedN", d=5000, n_total=25600, k=(1, 2, 4, 8, 16, 32),
+            trials=50),
         "lasso_shard_paper": ExperimentConfig(
-            experiment="LassoFixedn", d=5000, n_values=(800,),
-            k_values=(1, 2, 4, 8, 16, 32, 64), trials=50),
+            experiment="LassoFixedn", d=5000, n=(800,), k=(1, 2, 4, 8, 16, 32, 64),
+            trials=50),
         "bayes_paper": ExperimentConfig(
-            experiment="Bayes", d=2, n_values=tuple(2 ** p for p in range(6, 12)),
-            k_values=(16,), trials=50),
+            experiment="Bayes", d=2, n=tuple(2 ** p for p in range(6, 12)), k=(16,),
+            trials=50),
     }

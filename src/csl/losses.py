@@ -65,6 +65,11 @@ class LossModel:
 
     family: str
 
+    def __post_init__(self):
+        if self.family not in ("logistic", "linear"):
+            raise DataError(f"unknown loss family {self.family!r}; "
+                            "use 'logistic' or 'linear'")
+
     @classmethod
     def logistic(cls) -> "LossModel":
         return cls(family="logistic")

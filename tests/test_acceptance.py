@@ -109,7 +109,10 @@ def test_criterion_02_single_machine_reductions(capfd):
                                 settings=L1Settings(tol=1e-12))
             assert float(np.max(np.abs(fit.theta - plain.theta))) < 1e-6
 
-            prior = Prior.gaussian(mean=np.zeros(3), sd=np.full(3, 2.0))
+            # independent N(0, 2^2) coordinates: a prior term that is not flat
+            prior = Prior(lambda theta: sum(-0.5 * (t / 2.0) ** 2
+                                            - math.log(2.0 * math.sqrt(2 * math.pi))
+                                            for t in theta))
             theta = derive_rng(seed, "accept-k1-theta").normal(size=3)
             lhs = surrogate_log_posterior(s, prior, theta, cluster.n_total)
             rhs = full_log_posterior(cluster, prior, theta, cluster.n_total)
@@ -310,13 +313,13 @@ def test_criterion_09_oracle_equivalences(capfd):
 def test_criterion_10_reruns_hash_identically(capfd, tmp_path):
     with criterion(capfd, 10, "seeded reruns hash identically"):
         base = desk_presets()["sweep_k_desk"]
-        small = replace(base, k_values=(4, 8), trials=3)
+        small = replace(base, k=(4, 8), trials=3)
         first = run_experiment(replace(small, out=str(tmp_path / "one.csv")))
         second = run_experiment(replace(small, out=str(tmp_path / "two.csv")))
         assert results_hash(first.path) == results_hash(second.path)
 
-        bayes = replace(desk_presets()["bayes_desk"], n_values=(64,),
-                        k_values=(4,), trials=2, mcmc_iters=600)
+        bayes = replace(desk_presets()["bayes_desk"], n=(64,),
+                        k=(4,), trials=2, mcmc_iters=600)
         third = run_experiment(replace(bayes, out=str(tmp_path / "three.csv")))
         fourth = run_experiment(replace(bayes, out=str(tmp_path / "four.csv")))
         assert results_hash(third.path) == results_hash(fourth.path)

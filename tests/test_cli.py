@@ -50,6 +50,28 @@ class TestRun:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("settings, unset", [
+        (("experiment=Coverage", "n=32", "k=2"), "d"),
+        (("d=2", "n=32", "k=2"), "experiment"),
+        (("n=32",), "experiment, d"),
+    ], ids=["d", "experiment", "both"])
+    def test_a_missing_required_setting_exits_two_before_any_file(self, settings, unset,
+                                                                   tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("run", *settings, "trials=1", "out=" + str(out)) == 2
+        assert capsys.readouterr().err == f"error: config must set {unset}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_flag_among_the_settings_after_the_preset_exits_two_before_any_file(
+            self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "trials=1", "--preset", "sweep_k_desk", "k=2", "--out",
+                    str(tmp_path / "f.csv"), "n=32", "out=" + str(tmp_path / "r.csv"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " in err and " --out " in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_preset_exits_two(self, capsys):
         assert run_cli("run", "--preset", "nope") == 2
         assert "nope" in capsys.readouterr().err
@@ -161,8 +183,18 @@ def test_preset_then_settings_in_order_with_a_later_key_winning(tmp_path, monkey
                    "out=" + str(tmp_path / "flag.csv"), "trials=5", "seed=9", "k=16")
     assert code == 0
     assert built == [dataclasses.replace(
-        desk_presets()["coverage_desk"], d=4, n_values=(512,), trials=5, k_values=(16,),
+        desk_presets()["coverage_desk"], d=4, n=(512,), trials=5, k=(16,),
         seed=9, out=str(tmp_path / "flag.csv"))]
+
+
+def test_settings_on_both_sides_of_the_preset_apply_in_order(built):
+    assert run_cli("run", "trials=1", "--preset", "sweep_k_desk", "k=2", "n=32", "d=2",
+                   "out=mix.csv") == 0
+    assert run_cli("run", "seed=3", "--preset", "sweep_k_desk", "seed=9") == 0
+    preset = desk_presets()["sweep_k_desk"]
+    assert built == [
+        dataclasses.replace(preset, trials=1, k=(2,), n=(32,), d=2, out="mix.csv"),
+        dataclasses.replace(preset, seed=9)]
 
 
 def test_csl_seed_in_the_environment_is_not_read(monkeypatch, built):

@@ -131,17 +131,34 @@ class TestLedger:
             "separate arrays": [DataShard(x=s.x.copy(), y=s.y.copy()) for s in tiled],
             "reordered": [tiled[1], tiled[0], tiled[2], tiled[3]],
             "repeated": [tiled[0], tiled[0], tiled[2], tiled[3]],
-            "part of the base": tiled[:3],
             "strided rows": split_rows(x[::2], y[::2], 2),
         }
         for name, shards in cases.items():
             pooled = self._pool(shards, len(shards))
             assert not np.shares_memory(pooled.x, x), name
             assert not np.shares_memory(pooled.y, y), name
+        # part of the base: the first three blocks lie back to back in x
+        pooled = self._pool(tiled[:3], 3)
+        assert pooled.x.base is x and pooled.y.base is y
         # x tiles its base while y does not: only y is copied
         mixed = [DataShard(x=s.x, y=s.y.copy()) for s in tiled]
         pooled = self._pool(mixed, 4)
         assert np.shares_memory(pooled.x, x) and not np.shares_memory(pooled.y, y)
+
+    def test_blocks_back_to_back_in_one_array_pool_into_a_view(self):
+        rng = np.random.default_rng(5)
+        big, y = rng.standard_normal((40, 3)), rng.standard_normal(40)
+        alone = DataShard(x=rng.standard_normal((6, 2)), y=rng.standard_normal(6))
+        cases = {
+            "leading rows": (split_rows(big[:20], y[:20], 4), big, y),
+            "trailing rows": (split_rows(big[12:], y[12:], 7), big, y),
+            "one shard owning its arrays": ([alone], alone.x, alone.y),
+        }
+        for name, (shards, x, y) in cases.items():
+            pooled = self._pool(shards, len(shards))
+            assert pooled.x.base is x and pooled.y.base is y, name
+            assert pooled.x.ctypes.data == shards[0].x.ctypes.data, name
+            assert pooled.y.ctypes.data == shards[0].y.ctypes.data, name
 
     def test_ledger_copy_is_a_snapshot(self):
         cluster = make_cluster(2)

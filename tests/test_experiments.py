@@ -59,8 +59,8 @@ class TestConfigParsing:
                                       "n=64", "k = 2, 4", "TRIALS=2", "out=results#1.csv")
         assert config.experiment == "MestSweepK"
         assert config.d == 3
-        assert config.n_values == (64,)
-        assert config.k_values == (2, 4)
+        assert config.n == (64,)
+        assert config.k == (2, 4)
         assert config.trials == 2
         assert config.out == "results#1.csv"
 
@@ -82,7 +82,7 @@ class TestConfigParsing:
     def test_n_is_needed_only_where_the_sweep_reads_it(self, tmp_path):
         total = config_from_mapping(as_mapping(experiment="LassoFixedN", d=10,
                                                n_total=80, k=[2, 4]))
-        assert total.n_values == ()
+        assert total.n == ()
         assert experiments._sweep_points(total) == [(40, 2), (20, 4)]
         for name in sorted(set(EXPERIMENTS) - {"LassoFixedN"}):
             out = tmp_path / f"{name}.csv"
@@ -110,7 +110,7 @@ class TestConfigParsing:
         mapping = {"experiment": "Bayes", "d": "20", "n": "8, 16", "k": "2,3",
                    "n_total": "96", "trials": "3", "seed": "7", "out": "elsewhere.csv",
                    "mcmc_iters": "50"}
-        values = dict(experiment="Bayes", d=20, n_values=(8, 16), k_values=(2, 3),
+        values = dict(experiment="Bayes", d=20, n=(8, 16), k=(2, 3),
                       n_total=96, trials=3, seed=7, out="elsewhere.csv", mcmc_iters=50)
         defaults = ExperimentConfig(experiment="Bayes", d=20)
         for f in dataclasses.fields(ExperimentConfig):
@@ -122,7 +122,7 @@ class TestConfigParsing:
         del mapping["n_total"], values["n_total"]
         assert config_from_mapping(mapping) == ExperimentConfig(**values)
         assert config_values({"n": "4", "k": "2", "mcmc_iters": "3"}) == {
-            "n_values": (4,), "k_values": (2,), "mcmc_iters": 3}
+            "n": (4,), "k": (2,), "mcmc_iters": 3}
 
     def test_values_parse_by_field_type(self):
         with pytest.raises(ConfigError, match="bad config value for trials: "):
@@ -368,9 +368,9 @@ class TestPresets:
         desk = desk_presets()
         paper = paper_presets()
         assert set(paper) != set()
-        biggest_desk = max(c.n_total or max(c.n_values) * max(c.k_values)
+        biggest_desk = max(c.n_total or max(c.n) * max(c.k)
                            for c in desk.values())
-        biggest_paper = max(c.n_total or max(c.n_values) * max(c.k_values)
+        biggest_paper = max(c.n_total or max(c.n) * max(c.k)
                             for c in paper.values())
         assert biggest_paper > biggest_desk
 

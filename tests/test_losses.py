@@ -51,6 +51,18 @@ class TestValues:
         _, _, hess = ShardLoss(LossModel.logistic(), shard).eval(np.zeros(2), 2)
         np.testing.assert_allclose(hess, [[0.25, 0.0], [0.0, 0.0]], atol=1e-16)
 
+    def test_only_the_two_families_are_models(self):
+        # any other name would evaluate squared error, 0.125 on this shard
+        shard = DataShard(x=np.array([[1.0], [2.0]]), y=np.array([0.0, 1.0]))
+        theta = np.array([0.5])
+        value = (math.log1p(math.exp(0.5)) + math.log1p(math.exp(1.0)) - 1.0) / 2
+        assert ShardLoss(LossModel("logistic"), shard).eval(theta, 0)[0] == pytest.approx(
+            value, rel=1e-15)
+        assert ShardLoss(LossModel("linear"), shard).eval(theta, 0)[0] == 0.125
+        for family in ("poisson", "Logistic", "squared", ""):
+            with pytest.raises(DataError, match=f"unknown loss family {family!r}"):
+                LossModel(family)
+
 
 class TestDerivativeOracles:
     @pytest.mark.parametrize("family", ["logistic", "linear"])

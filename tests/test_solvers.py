@@ -269,8 +269,8 @@ class TestFitMemory:
         n, k = 200, 3
         data, theta_star = gen_logistic(3, n * k, 73)
         cluster = Cluster.from_pooled(LossModel.logistic(), data.x, data.y, k)
-        config = ExperimentConfig(experiment="MestSweepK", d=3, n_values=(n,),
-                                  k_values=(k,), trials=1)
+        config = ExperimentConfig(experiment="MestSweepK", d=3, n=(n,),
+                                  k=(k,), trials=1)
         fits = counting_newton(monkeypatch)
         _mest_trial(config, cluster, theta_star, 1, lambda *row: None)
         # the pooled fit and the k local fits; the subsample fit is the

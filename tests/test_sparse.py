@@ -369,8 +369,8 @@ class TestFitMemory:
         shards, theta_star = gen_sparse_linear(d=20, n=n, k=k, s=10, sigma=1.0,
                                                seed_or_rng=67)
         cluster = Cluster(LossModel.linear(), shards)
-        config = ExperimentConfig(experiment="LassoFixedn", d=20, n_values=(n,),
-                                  k_values=(k,), trials=1)
+        config = ExperimentConfig(experiment="LassoFixedn", d=20, n=(n,),
+                                  k=(k,), trials=1)
         fitted = []
         count_calls(monkeypatch, csl.solvers, "_working_set_lasso", fitted)
         count_calls(monkeypatch, csl.sparse, "_working_set_lasso", fitted)
